@@ -65,6 +65,18 @@ impl ImplementKind {
         }
     }
 
+    /// The kind a command-line token names: `dauber`, `thick`, `thin` or
+    /// `crayon`. The CLI and shard job specs share this one vocabulary.
+    pub fn from_token(token: &str) -> Option<ImplementKind> {
+        Some(match token {
+            "dauber" => ImplementKind::BingoDauber,
+            "thick" => ImplementKind::ThickMarker,
+            "thin" => ImplementKind::ThinMarker,
+            "crayon" => ImplementKind::Crayon,
+            _ => return None,
+        })
+    }
+
     /// Display name.
     pub fn name(self) -> &'static str {
         match self {

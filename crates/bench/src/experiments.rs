@@ -8,6 +8,7 @@ use flagsim_assessment::survey::Construct;
 use flagsim_core::config::ActivityConfig;
 use flagsim_core::layered;
 use flagsim_core::scenario::Scenario;
+use flagsim_core::sweep::SweepRunner;
 use flagsim_core::work::PreparedFlag;
 use flagsim_core::{RunReport, TeamKit};
 use flagsim_flags::library;
@@ -54,7 +55,8 @@ fn mean(xs: &[f64]) -> f64 {
 
 /// Run a scenario `REPS` times with fresh teams and return the mean
 /// completion seconds (plus the last report for structure inspection).
-/// Thin wrapper over the public [`flagsim_core::sweep::sweep`] harness.
+/// A measurement, not a fault drill: every repetition must succeed and
+/// paint the right flag unless a deadline cuts it short.
 fn mean_completion(
     scenario: &Scenario,
     flag: &PreparedFlag,
@@ -63,7 +65,24 @@ fn mean_completion(
     warmup: bool,
     cfg: &ActivityConfig,
 ) -> (f64, RunReport) {
-    let result = flagsim_core::sweep::sweep(scenario, flag, kit, cfg, team_size, warmup, REPS);
+    let result = SweepRunner::new(scenario, flag, kit, cfg)
+        .team_size(team_size)
+        .warmup(warmup)
+        .reps(REPS)
+        .run()
+        .expect("sweep produced statistics");
+    assert!(
+        result.failures.is_empty(),
+        "sweep run failed: {:?}",
+        result.failures
+    );
+    assert!(
+        result
+            .reports
+            .iter()
+            .all(|r| r.correct || cfg.deadline_secs.is_some()),
+        "sweep produced a wrong flag"
+    );
     let last = result.reports.last().cloned().expect("reps > 0");
     (result.mean_secs(), last)
 }

@@ -10,7 +10,7 @@ use flagsim_agents::ImplementKind;
 use flagsim_core::config::{ActivityConfig, TeamKit};
 use flagsim_core::faults::FaultPlan;
 use flagsim_core::scenario::Scenario;
-use flagsim_core::sweep::{par_sweep, try_sweep};
+use flagsim_core::sweep::SweepRunner;
 use flagsim_core::work::PreparedFlag;
 use flagsim_flags::library;
 use std::fmt::Write as _;
@@ -52,15 +52,21 @@ pub fn run_sweep_bench(reps: u64, jobs: usize) -> SweepBench {
     let cfg = ActivityConfig::default().with_seed(0x5EED);
     let scenario = Scenario::fig1(4);
     let plan = FaultPlan::none();
+    let sweep = |jobs| {
+        SweepRunner::new(&scenario, &flag, &kit, &cfg)
+            .team_size(4)
+            .reps(reps)
+            .plan(&plan)
+            .jobs(jobs)
+            .run()
+    };
 
     let t0 = Instant::now();
-    let serial = try_sweep(&scenario, &flag, &kit, &cfg, 4, false, reps, &plan)
-        .expect("serial sweep failed");
+    let serial = sweep(1).expect("serial sweep failed");
     let serial_secs = t0.elapsed().as_secs_f64();
 
     let t1 = Instant::now();
-    let parallel = par_sweep(&scenario, &flag, &kit, &cfg, 4, false, reps, &plan, jobs)
-        .expect("parallel sweep failed");
+    let parallel = sweep(jobs).expect("parallel sweep failed");
     let parallel_secs = t1.elapsed().as_secs_f64();
 
     let deterministic =

@@ -23,7 +23,7 @@ use flagsim_agents::ImplementKind;
 use flagsim_core::config::{ActivityConfig, TeamKit};
 use flagsim_core::faults::FaultPlan;
 use flagsim_core::scenario::Scenario;
-use flagsim_core::sweep::try_sweep;
+use flagsim_core::sweep::SweepRunner;
 use flagsim_core::work::PreparedFlag;
 use flagsim_flags::library;
 use flagsim_telemetry::Collector;
@@ -76,17 +76,23 @@ pub fn run_telemetry_bench(reps: u64, noop_iters: u64) -> TelemetryBench {
     let cfg = ActivityConfig::default().with_seed(0x5EED);
     let scenario = Scenario::fig1(4);
     let plan = FaultPlan::none();
+    let sweep = || {
+        SweepRunner::new(&scenario, &flag, &kit, &cfg)
+            .team_size(4)
+            .reps(reps)
+            .plan(&plan)
+            .run()
+    };
 
     // 1. Baseline: the instrumented stack with telemetry disabled.
     let t0 = Instant::now();
-    try_sweep(&scenario, &flag, &kit, &cfg, 4, false, reps, &plan)
-        .expect("baseline sweep failed");
+    sweep().expect("baseline sweep failed");
     let baseline_secs = t0.elapsed().as_secs_f64();
 
     // 2. The same sweep under a collector.
     let collector = Collector::install();
     let t1 = Instant::now();
-    let collected = try_sweep(&scenario, &flag, &kit, &cfg, 4, false, reps, &plan);
+    let collected = sweep();
     let enabled_secs = t1.elapsed().as_secs_f64();
     let set = collector.finish();
     collected.expect("collected sweep failed");

@@ -106,7 +106,7 @@ USAGE:
   flagsim pack --out DIR [--flag NAME] [--kind KIND] [--seed N]
   flagsim vocab [<term>]
   flagsim report [--seed N]
-  flagsim replay <SCENARIO> [--flag NAME] [--frames N]
+  flagsim replay <SCENARIO> [--flag NAME] [--kind KIND] [--frames N]
                  [--seed N]
   flagsim watch <SCENARIO> [--flag NAME] [--kind KIND] [--seed N]
                 [--script KEYS] [--frames-out FILE] [--width N] [--no-check]
@@ -124,37 +124,307 @@ PLAN SPEC: comma-separated fault events —
   e.g. \"break:blue@20,dropout:2@30,bell@120\"
 ";
 
+/// A subcommand: its options, already checked against [`OPTIONS`], in;
+/// the text to print out.
+type Command = fn(&Opts) -> Result<String, CliError>;
+
+const COMMANDS: &[(&str, Command)] = &[
+    ("flags", cmd_flags),
+    ("render", cmd_render),
+    ("slides", cmd_slides),
+    ("run", cmd_run),
+    ("faults", cmd_faults),
+    ("sweep", cmd_sweep),
+    ("worker", cmd_worker),
+    ("explain", cmd_explain),
+    ("profile", cmd_profile),
+    ("session", cmd_session),
+    ("check", cmd_check),
+    ("verify", cmd_verify),
+    ("lint", cmd_lint),
+    ("graph", cmd_graph),
+    ("grade", cmd_grade),
+    ("parse", cmd_parse),
+    ("pack", cmd_pack),
+    ("vocab", cmd_vocab),
+    ("report", cmd_report),
+    ("replay", cmd_replay),
+    ("watch", cmd_watch),
+];
+
 /// Execute a command line (without the program name). Returns the text to
 /// print on success.
 pub fn run(args: &[String]) -> Result<String, CliError> {
     let Some(cmd) = args.first() else {
         return Ok(USAGE.to_owned());
     };
-    match cmd.as_str() {
-        "flags" => cmd_flags(),
-        "render" => cmd_render(&args[1..]),
-        "slides" => cmd_slides(&args[1..]),
-        "run" => cmd_run(&args[1..]),
-        "faults" => cmd_faults(&args[1..]),
-        "sweep" => cmd_sweep(&args[1..]),
-        "worker" => cmd_worker(&args[1..]),
-        "explain" => cmd_explain(&args[1..]),
-        "profile" => cmd_profile(&args[1..]),
-        "session" => cmd_session(&args[1..]),
-        "check" => cmd_check(&args[1..]),
-        "verify" => cmd_verify(&args[1..]),
-        "lint" => cmd_lint(&args[1..]),
-        "graph" => cmd_graph(&args[1..]),
-        "grade" => cmd_grade(&args[1..]),
-        "parse" => cmd_parse(&args[1..]),
-        "pack" => cmd_pack(&args[1..]),
-        "vocab" => cmd_vocab(&args[1..]),
-        "report" => cmd_report(&args[1..]),
-        "replay" => cmd_replay(&args[1..]),
-        "watch" => cmd_watch(&args[1..]),
-        "help" | "--help" | "-h" => Ok(USAGE.to_owned()),
-        other => err(format!("unknown command {other:?}\n\n{USAGE}")),
+    if matches!(cmd.as_str(), "help" | "--help" | "-h") {
+        return Ok(USAGE.to_owned());
     }
+    let Some(&(name, command)) = COMMANDS.iter().find(|(name, _)| name == cmd) else {
+        return err(format!("unknown command {cmd:?}\n\n{USAGE}"));
+    };
+    command(&Opts::new(name, &args[1..])?)
+}
+
+/// What an option stands for when the command line leaves it out.
+#[derive(Debug, Clone, Copy)]
+enum Fallback {
+    /// Nothing: the option is simply absent.
+    Absent,
+    /// This value, parsed exactly as a given one would be.
+    Value(&'static str),
+    /// The host's available parallelism.
+    Cores,
+    /// The scenario's coloring team, plus the timer when `timer` is set.
+    Team { timer: bool },
+}
+
+/// One row of the option table: an option, whether it takes a value, what
+/// it falls back to, and the subcommands that accept it with that
+/// fallback. An option whose default differs between subcommands has one
+/// row per default.
+struct OptDef {
+    name: &'static str,
+    takes_value: bool,
+    fallback: Fallback,
+    commands: &'static [&'static str],
+}
+
+const fn value(
+    name: &'static str,
+    fallback: Fallback,
+    commands: &'static [&'static str],
+) -> OptDef {
+    OptDef {
+        name,
+        takes_value: true,
+        fallback,
+        commands,
+    }
+}
+
+const fn switch(name: &'static str, commands: &'static [&'static str]) -> OptDef {
+    OptDef {
+        name,
+        takes_value: false,
+        fallback: Fallback::Absent,
+        commands,
+    }
+}
+
+/// The subcommands that run the activity, sharing [`resolve_run`]'s inputs.
+const RUNNERS: &[&str] = &[
+    "run", "faults", "sweep", "explain", "profile", "check", "verify", "pack", "replay", "watch",
+];
+
+/// Every option of every subcommand. An option a subcommand does not
+/// declare here is an error on its command line.
+const OPTIONS: &[OptDef] = {
+    use Fallback::{Absent, Cores, Team, Value};
+    &[
+        // The shared run inputs, resolved by `resolve_run`.
+        value("flag", Value("mauritius"), RUNNERS),
+        value("kind", Value("thick"), RUNNERS),
+        value("seed", Value("2025"), RUNNERS),
+        value("seed", Value("2025"), &["report"]),
+        value("seed", Value("42"), &["session"]),
+        value("team", Team { timer: false }, &["sweep", "explain"]),
+        value("team", Team { timer: true }, &["check"]),
+        value("jobs", Cores, &["sweep"]),
+        value("jobs", Value("1"), &["explain", "profile", "check"]),
+        value("reps", Value("32"), &["sweep"]),
+        value("reps", Value("4"), &["profile"]),
+        switch("no-check", &["run", "faults", "sweep", "watch"]),
+        value("trace-out", Absent, &["run", "faults", "sweep"]),
+        // Fault plans.
+        value("plan", Absent, &["faults", "check"]),
+        value("policy", Absent, &["faults", "check"]),
+        value("policy", Value("rebalance"), &["sweep"]),
+        switch("random", &["faults"]),
+        switch("demo-deadlock", &["faults"]),
+        // Output and diagnostics.
+        value(
+            "format",
+            Value("text"),
+            &["explain", "check", "verify", "lint"],
+        ),
+        value("format", Value("chrome"), &["profile"]),
+        value("deny", Value("error"), &["check", "verify", "lint"]),
+        value("allow", Absent, &["check", "verify", "lint"]),
+        value("out", Absent, &["profile", "pack"]),
+        switch("metrics", &["profile"]),
+        // run
+        value("markers", Value("1"), &["run"]),
+        switch("gantt", &["run"]),
+        // sweep, its shard coordinator, and worker
+        switch("warmup", &["sweep"]),
+        switch("stream", &["sweep"]),
+        switch("progress", &["sweep"]),
+        switch("dashboard", &["sweep"]),
+        value("workers", Absent, &["sweep"]),
+        value("connect", Absent, &["sweep", "watch"]),
+        value("checkpoint", Absent, &["sweep"]),
+        value("checkpoint-every", Value("64"), &["sweep"]),
+        value("resume", Absent, &["sweep"]),
+        value("max-wall-secs", Absent, &["sweep"]),
+        value("chunk", Value("8"), &["sweep"]),
+        value("obs-out", Absent, &["sweep"]),
+        value("obs-serve", Absent, &["sweep"]),
+        value("trace-sample", Value("0"), &["sweep"]),
+        value("log-level", Absent, &["sweep", "worker"]),
+        value("listen", Absent, &["worker"]),
+        value("name", Absent, &["worker"]),
+        switch("once", &["worker", "watch"]),
+        switch("quiet", &["worker"]),
+        // session, check, verify, lint, graph, replay, watch
+        switch("repeat", &["session"]),
+        switch("static-only", &["check"]),
+        value("max-schedules", Value("4096"), &["verify"]),
+        switch("naive", &["verify"]),
+        value("witness-out", Absent, &["verify"]),
+        value("size", Absent, &["lint"]),
+        value("procs", Value("4"), &["graph"]),
+        value("frames", Value("6"), &["replay"]),
+        value("script", Absent, &["watch"]),
+        value("frames-out", Absent, &["watch"]),
+        value("width", Absent, &["watch"]),
+        value("trace", Absent, &["watch"]),
+        value("follow", Absent, &["watch"]),
+    ]
+};
+
+/// A subcommand's arguments, checked against [`OPTIONS`].
+struct Opts {
+    command: &'static str,
+    positional: Vec<String>,
+    /// Options given on the command line, in order (`None` for switches).
+    given: Vec<(&'static str, Option<String>)>,
+}
+
+impl Opts {
+    fn new(command: &'static str, args: &[String]) -> Result<Opts, CliError> {
+        let mut opts = Opts {
+            command,
+            positional: Vec::new(),
+            given: Vec::new(),
+        };
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            let Some(key) = arg.strip_prefix("--") else {
+                opts.positional.push(arg.clone());
+                continue;
+            };
+            let Some(def) = opts.def(key) else {
+                let taken: Vec<String> = OPTIONS
+                    .iter()
+                    .filter(|o| o.commands.contains(&command))
+                    .map(|o| format!("--{}", o.name))
+                    .collect();
+                let taken = if taken.is_empty() {
+                    "no options".to_owned()
+                } else {
+                    taken.join(" ")
+                };
+                return err(format!(
+                    "unknown option --{key} for flagsim {command} (it takes: {taken})"
+                ));
+            };
+            let value = if def.takes_value {
+                let Some(v) = it.next() else {
+                    return err(format!("--{key} needs a value"));
+                };
+                Some(v.clone())
+            } else {
+                None
+            };
+            opts.given.push((def.name, value));
+        }
+        Ok(opts)
+    }
+
+    /// The table row declaring `--name` for this subcommand.
+    fn def(&self, name: &str) -> Option<&'static OptDef> {
+        OPTIONS
+            .iter()
+            .find(|o| o.name == name && o.commands.contains(&self.command))
+    }
+
+    /// Whether `--name` was given.
+    fn has(&self, name: &str) -> bool {
+        self.given.iter().any(|(k, _)| *k == name)
+    }
+
+    /// `--name`'s value: the first one given, else the table's default.
+    fn value(&self, name: &str) -> Option<&str> {
+        match self.given.iter().find(|(k, _)| *k == name) {
+            Some((_, v)) => v.as_deref(),
+            None => match self.def(name)?.fallback {
+                Fallback::Value(v) => Some(v),
+                _ => None,
+            },
+        }
+    }
+
+    /// Every value given for a repeatable option, in order.
+    fn values<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a str> + 'a {
+        self.given
+            .iter()
+            .filter(move |(k, _)| *k == name)
+            .filter_map(|(_, v)| v.as_deref())
+    }
+
+    /// `--name`'s value parsed as a `T`.
+    fn parse<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, CliError> {
+        self.value(name)
+            .map(|v| {
+                v.parse().map_err(|_| CliError {
+                    message: format!("bad --{name}"),
+                })
+            })
+            .transpose()
+    }
+
+    /// `--name` parsed as a `T`, for an option given or defaulted.
+    fn get<T: std::str::FromStr>(&self, name: &str) -> Result<T, CliError> {
+        self.parse(name)?.ok_or_else(|| CliError {
+            message: format!("--{name} needs a value"),
+        })
+    }
+
+    /// `--name` as a count of at least 1, defaulting to the host's cores
+    /// where the table says so.
+    fn count(&self, name: &str) -> Result<usize, CliError> {
+        let n = match self.def(name).map(|d| d.fallback) {
+            Some(Fallback::Cores) if !self.has(name) => {
+                std::thread::available_parallelism().map_or(1, |n| n.get())
+            }
+            _ => self.get(name)?,
+        };
+        if n == 0 {
+            return err(format!("--{name} must be at least 1"));
+        }
+        Ok(n)
+    }
+
+    /// The first positional argument, or the subcommand's usage error.
+    fn target(&self, usage: &str) -> Result<&str, CliError> {
+        match self.positional.first() {
+            Some(t) => Ok(t),
+            None => err(usage),
+        }
+    }
+}
+
+/// The inputs every activity-running subcommand shares: the flag, the
+/// implement kit and the seeded configuration.
+struct RunSpec {
+    spec: FlagSpec,
+    flag: PreparedFlag,
+    kind: ImplementKind,
+    kit: TeamKit,
+    seed: u64,
+    cfg: ActivityConfig,
 }
 
 fn find_flag(name: &str) -> Result<FlagSpec, CliError> {
@@ -170,62 +440,88 @@ fn find_flag(name: &str) -> Result<FlagSpec, CliError> {
     })
 }
 
-fn parse_kind(s: &str) -> Result<ImplementKind, CliError> {
-    Ok(match s {
-        "dauber" => ImplementKind::BingoDauber,
-        "thick" => ImplementKind::ThickMarker,
-        "thin" => ImplementKind::ThinMarker,
-        "crayon" => ImplementKind::Crayon,
-        other => return err(format!("unknown implement kind {other:?}")),
+/// A fresh team of `size` students, warm-up on.
+fn fresh_team(size: usize) -> Vec<StudentProfile> {
+    (1..=size)
+        .map(|i| StudentProfile::new(format!("P{i}")))
+        .collect()
+}
+
+/// Resolve `--flag`, `--kind` and `--seed` — the one place they are read.
+fn resolve_run(opts: &Opts) -> Result<RunSpec, CliError> {
+    let spec = find_flag(&opts.get::<String>("flag")?)?;
+    let flag = PreparedFlag::new(&spec);
+    let token: String = opts.get("kind")?;
+    let kind = ImplementKind::from_token(&token).ok_or_else(|| CliError {
+        message: format!("unknown implement kind {token:?}"),
+    })?;
+    let kit = TeamKit::uniform(kind, &flag.colors_needed(&[]));
+    let seed = opts.get("seed")?;
+    Ok(RunSpec {
+        spec,
+        flag,
+        kind,
+        kit,
+        seed,
+        cfg: ActivityConfig::default().with_seed(seed),
     })
 }
 
-/// Pull `--key value` and `--flag`-style switches out of an arg list.
-struct Opts {
-    positional: Vec<String>,
-    options: Vec<(String, Option<String>)>,
-}
-
-fn parse_opts(args: &[String], value_keys: &[&str]) -> Result<Opts, CliError> {
-    let mut positional = Vec::new();
-    let mut options = Vec::new();
-    let mut it = args.iter().peekable();
-    while let Some(arg) = it.next() {
-        if let Some(key) = arg.strip_prefix("--") {
-            if value_keys.contains(&key) {
-                let Some(value) = it.next() else {
-                    return err(format!("--{key} needs a value"));
-                };
-                options.push((key.to_owned(), Some(value.clone())));
-            } else {
-                options.push((key.to_owned(), None));
-            }
+impl RunSpec {
+    /// The built-in scenario `which` names, and its team: `--team`, else
+    /// the scenario's coloring team (plus the timer where the table says
+    /// so) — the one place `--team` is read.
+    fn scenario(&self, opts: &Opts, which: &str) -> Result<(Scenario, usize), CliError> {
+        let scenario = Scenario::builtin(which, &self.flag).ok_or_else(|| CliError {
+            message: format!(
+                "unknown scenario {which:?} (use 1-4, onestripe, fourslice, pipelined, \
+                 alternating)"
+            ),
+        })?;
+        let timer = matches!(
+            opts.def("team").map(|d| d.fallback),
+            Some(Fallback::Team { timer: true })
+        );
+        let team = if opts.has("team") {
+            opts.count("team")?
         } else {
-            positional.push(arg.clone());
-        }
+            scenario.team_size(&self.flag, &self.cfg) + usize::from(timer)
+        };
+        Ok((scenario, team))
     }
-    Ok(Opts {
-        positional,
-        options,
-    })
-}
 
-impl Opts {
-    fn value(&self, key: &str) -> Option<&str> {
-        self.options
-            .iter()
-            .find(|(k, _)| k == key)
-            .and_then(|(_, v)| v.as_deref())
-    }
-    fn flag(&self, key: &str) -> bool {
-        self.options.iter().any(|(k, _)| k == key)
-    }
-    /// Every value given for a repeatable option, in order.
-    fn values<'a>(&'a self, key: &'a str) -> impl Iterator<Item = &'a str> + 'a {
-        self.options
-            .iter()
-            .filter(move |(k, _)| k == key)
-            .filter_map(|(_, v)| v.as_deref())
+    /// Static preflight: the same checks as `flagsim check --static-only`
+    /// minus the advisory `SC4xx` checklist, failing only on Error-level
+    /// findings. It belongs to the subcommands that declare `--no-check`
+    /// to skip it. `team` counts the timer.
+    fn preflight(
+        &self,
+        opts: &Opts,
+        scenario: &Scenario,
+        team: usize,
+        plan: &FaultPlan,
+    ) -> Result<(), CliError> {
+        if opts.def("no-check").is_none() || opts.has("no-check") {
+            return Ok(());
+        }
+        let report = simcheck::static_report(&simcheck::CheckTarget {
+            spec: &self.spec,
+            flag: &self.flag,
+            scenario,
+            kit: &self.kit,
+            team_size: team,
+            config: &self.cfg,
+            plan,
+        });
+        let (errors, _, _) = report.counts();
+        if errors > 0 {
+            return err(format!(
+                "preflight: {errors} error-level finding(s) — the run cannot work as \
+                 configured (re-run with --no-check to try anyway)\n{}",
+                report.render_text()
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -251,7 +547,7 @@ fn with_optional_trace<T>(
     result
 }
 
-fn cmd_flags() -> Result<String, CliError> {
+fn cmd_flags(_: &Opts) -> Result<String, CliError> {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -288,11 +584,8 @@ fn parse_size(s: &str) -> Result<(u32, u32), CliError> {
     Ok((w, h))
 }
 
-fn cmd_render(args: &[String]) -> Result<String, CliError> {
-    let opts = parse_opts(args, &[])?;
-    let Some(name) = opts.positional.first() else {
-        return err("usage: flagsim render <flag> [ascii|ansi|ppm] [WxH]");
-    };
+fn cmd_render(opts: &Opts) -> Result<String, CliError> {
+    let name = opts.target("usage: flagsim render <flag> [ascii|ansi|ppm] [WxH]")?;
     let flag = find_flag(name)?;
     let mut mode = "ascii";
     let mut size = (flag.default_width, flag.default_height);
@@ -316,8 +609,7 @@ fn cmd_render(args: &[String]) -> Result<String, CliError> {
     })
 }
 
-fn cmd_slides(args: &[String]) -> Result<String, CliError> {
-    let opts = parse_opts(args, &[])?;
+fn cmd_slides(opts: &Opts) -> Result<String, CliError> {
     let spec = match opts.positional.first() {
         Some(name) => find_flag(name)?,
         None => library::mauritius(),
@@ -325,63 +617,16 @@ fn cmd_slides(args: &[String]) -> Result<String, CliError> {
     Ok(slides::fig1_deck(&PreparedFlag::new(&spec)))
 }
 
-fn build_scenario(which: &str, flag: &PreparedFlag) -> Result<Scenario, CliError> {
-    Ok(match which {
-        "1" | "2" | "3" | "4" => Scenario::fig1(which.parse::<u8>().expect("digit")),
-        // Mnemonic aliases for the two scenarios most scripts profile.
-        "onestripe" => Scenario::fig1(3),
-        "fourslice" => Scenario::fig1(4),
-        "pipelined" => Scenario::pipelined_slices(flag, 4, 4),
-        "alternating" => Scenario::alternating_slices(),
-        other => {
-            return err(format!(
-                "unknown scenario {other:?} (use 1-4, onestripe, fourslice, pipelined, \
-                 alternating)"
-            ))
-        }
-    })
-}
-
-fn cmd_run(args: &[String]) -> Result<String, CliError> {
-    let opts = parse_opts(args, &["flag", "kind", "seed", "markers", "trace-out"])?;
-    let Some(which) = opts.positional.first() else {
-        return err("usage: flagsim run <SCENARIO> [options]");
-    };
-    let spec = match opts.value("flag") {
-        Some(name) => find_flag(name)?,
-        None => library::mauritius(),
-    };
-    let flag = PreparedFlag::new(&spec);
-    let scenario = build_scenario(which, &flag)?;
-    let kind = parse_kind(opts.value("kind").unwrap_or("thick"))?;
-    let seed: u64 = opts
-        .value("seed")
-        .unwrap_or("2025")
-        .parse()
-        .map_err(|_| CliError {
-            message: "bad --seed".into(),
-        })?;
-    let markers: usize = opts
-        .value("markers")
-        .unwrap_or("1")
-        .parse()
-        .map_err(|_| CliError {
-            message: "bad --markers".into(),
-        })?;
-    if markers == 0 {
-        return err("--markers must be at least 1");
-    }
-    let cfg = ActivityConfig::default().with_seed(seed);
-    let size = scenario.team_size(&flag, &cfg);
-    let mut team: Vec<StudentProfile> =
-        (1..=size).map(|i| StudentProfile::new(format!("P{i}"))).collect();
-    let kit = TeamKit::uniform(kind, &flag.colors_needed(&[])).with_count_all(markers);
-    if !opts.flag("no-check") {
-        preflight_static(&spec, &flag, &scenario, &kit, size + 1, &cfg, &FaultPlan::none())?;
-    }
+fn cmd_run(opts: &Opts) -> Result<String, CliError> {
+    let which = opts.target("usage: flagsim run <SCENARIO> [options]")?;
+    let mut run = resolve_run(opts)?;
+    let (scenario, size) = run.scenario(opts, which)?;
+    run.kit = run.kit.with_count_all(opts.count("markers")?);
+    let mut team = fresh_team(size);
+    run.preflight(opts, &scenario, size + 1, &FaultPlan::none())?;
     let report = with_optional_trace(opts.value("trace-out"), || {
         scenario
-            .run(&flag, &mut team, &kit, &cfg)
+            .run(&run.flag, &mut team, &run.kit, &run.cfg)
             .map_err(|message| CliError { message })
     })?;
     // Human diagnostics go to stderr (PR-3 sweep convention) so stdout
@@ -396,7 +641,7 @@ fn cmd_run(args: &[String]) -> Result<String, CliError> {
         eprintln!("run: {} implement breakage(s) during the run", report.breakages);
     }
     let mut out = report.detail();
-    if opts.flag("gantt") {
+    if opts.has("gantt") {
         let _ = writeln!(out, "\n{}", report.trace.gantt(72));
     }
     Ok(out)
@@ -479,54 +724,37 @@ fn demo_deadlock() -> String {
     out
 }
 
-fn cmd_faults(args: &[String]) -> Result<String, CliError> {
-    let opts = parse_opts(args, &["plan", "policy", "flag", "kind", "seed", "trace-out"])?;
-    if opts.flag("demo-deadlock") {
+fn cmd_faults(opts: &Opts) -> Result<String, CliError> {
+    if opts.has("demo-deadlock") {
         return Ok(demo_deadlock());
     }
-    let Some(which) = opts.positional.first() else {
-        return err(
-            "usage: flagsim faults <1|2|3|4|pipelined|alternating> (--plan SPEC | --random) \
-             [--policy P] [options], or flagsim faults --demo-deadlock",
-        );
-    };
-    let spec = match opts.value("flag") {
-        Some(name) => find_flag(name)?,
-        None => library::mauritius(),
-    };
-    let flag = PreparedFlag::new(&spec);
-    let scenario = build_scenario(which, &flag)?;
-    let kind = parse_kind(opts.value("kind").unwrap_or("thick"))?;
-    let seed: u64 = opts
-        .value("seed")
-        .unwrap_or("2025")
-        .parse()
-        .map_err(|_| CliError {
-            message: "bad --seed".into(),
-        })?;
-    let cfg = ActivityConfig::default().with_seed(seed);
-    let size = scenario.team_size(&flag, &cfg);
-    let colors = flag.colors_needed(&[]);
-    let mut plan = match (opts.value("plan"), opts.flag("random")) {
+    let which = opts.target(
+        "usage: flagsim faults <1|2|3|4|pipelined|alternating> (--plan SPEC | --random) \
+         [--policy P] [options], or flagsim faults --demo-deadlock",
+    )?;
+    let run = resolve_run(opts)?;
+    let (scenario, size) = run.scenario(opts, which)?;
+    let mut plan = match (opts.value("plan"), opts.has("random")) {
         (Some(spec), false) => {
             FaultPlan::parse(spec, "cli plan").map_err(|message| CliError { message })?
         }
-        (None, true) => FaultPlan::random(seed, size, &colors),
+        (None, true) => FaultPlan::random(run.seed, size, &run.flag.colors_needed(&[])),
         (Some(_), true) => return err("--plan and --random are mutually exclusive"),
         (None, false) => return err("faults needs --plan SPEC or --random"),
     };
     if let Some(p) = opts.value("policy") {
         plan = plan.with_policy(parse_policy(p)?);
     }
-    let mut team: Vec<StudentProfile> =
-        (1..=size).map(|i| StudentProfile::new(format!("P{i}"))).collect();
-    let kit = TeamKit::uniform(kind, &colors);
-    if !opts.flag("no-check") {
-        preflight_static(&spec, &flag, &scenario, &kit, size + 1, &cfg, &plan)?;
-    }
+    let mut team = fresh_team(size);
+    run.preflight(opts, &scenario, size + 1, &plan)?;
     let report = with_optional_trace(opts.value("trace-out"), || {
         scenario
-            .run_with_faults(&flag, &mut team, &kit, &cfg, &plan)
+            .compile(&run.flag, &run.cfg)
+            .and_then(|compiled| {
+                compiled
+                    .run_scheduled(&mut team, &run.kit, &run.cfg, &plan, None)?
+                    .into_report()
+            })
             .map_err(|message| CliError { message })
     })?;
     // Measurements on stdout; the blow-by-blow incident narrative is
@@ -540,26 +768,24 @@ fn cmd_faults(args: &[String]) -> Result<String, CliError> {
     Ok(out)
 }
 
+/// Apply `--log-level` to the structured logger.
+fn set_log_level(opts: &Opts) -> Result<(), CliError> {
+    if let Some(level) = opts.value("log-level") {
+        let parsed =
+            flagsim_telemetry::Level::parse(level).map_err(|message| CliError { message })?;
+        flagsim_telemetry::log::set_level(parsed);
+    }
+    Ok(())
+}
+
 /// `flagsim sweep` — the measurement campaign front door: run a scenario
 /// across many seeds on `--jobs` worker threads and print the summary
 /// statistics. The job count never changes the numbers, only the
 /// wall-clock time.
-fn cmd_sweep(args: &[String]) -> Result<String, CliError> {
+fn cmd_sweep(opts: &Opts) -> Result<String, CliError> {
     use flagsim_core::sweep::SweepRunner;
 
-    let opts = parse_opts(
-        args,
-        &[
-            "flag", "kind", "seed", "reps", "jobs", "team", "trace-out", "workers", "connect",
-            "checkpoint", "checkpoint-every", "resume", "max-wall-secs", "policy", "chunk",
-            "obs-out", "obs-serve", "log-level", "trace-sample",
-        ],
-    )?;
-    if let Some(level) = opts.value("log-level") {
-        let parsed = flagsim_telemetry::Level::parse(level)
-            .map_err(|message| CliError { message })?;
-        flagsim_telemetry::log::set_level(parsed);
-    }
+    set_log_level(opts)?;
     // Any distribution/durability/observability flag routes through the
     // shard coordinator (which also runs plain in-process sweeps, so
     // `--checkpoint` alone works without any workers).
@@ -568,67 +794,26 @@ fn cmd_sweep(args: &[String]) -> Result<String, CliError> {
         "obs-out", "obs-serve",
     ]
     .iter()
-    .any(|k| opts.flag(k))
+    .any(|k| opts.has(k))
     {
-        return cmd_sweep_shard(&opts);
+        return cmd_sweep_shard(opts);
     }
-    let Some(which) = opts.positional.first() else {
-        return err(
-            "usage: flagsim sweep <SCENARIO> [--reps M] [--jobs N] \
-             [--flag NAME] [--kind KIND] [--seed N] [--team N] [--warmup] [--stream] \
-             [--progress] [--dashboard] [--trace-out FILE] [--log-level LEVEL]",
-        );
-    };
-    let spec = match opts.value("flag") {
-        Some(name) => find_flag(name)?,
-        None => library::mauritius(),
-    };
-    let flag = PreparedFlag::new(&spec);
-    let scenario = build_scenario(which, &flag)?;
-    let kind = parse_kind(opts.value("kind").unwrap_or("thick"))?;
-    let seed: u64 = opts
-        .value("seed")
-        .unwrap_or("2025")
-        .parse()
-        .map_err(|_| CliError {
-            message: "bad --seed".into(),
-        })?;
-    let reps: u64 = opts
-        .value("reps")
-        .unwrap_or("32")
-        .parse()
-        .map_err(|_| CliError {
-            message: "bad --reps".into(),
-        })?;
-    if reps == 0 {
-        return err("--reps must be at least 1");
-    }
-    let jobs: usize = match opts.value("jobs") {
-        Some(j) => j.parse().map_err(|_| CliError {
-            message: "bad --jobs".into(),
-        })?,
-        None => std::thread::available_parallelism().map_or(1, |n| n.get()),
-    };
-    if jobs == 0 {
-        return err("--jobs must be at least 1");
-    }
-    let cfg = ActivityConfig::default().with_seed(seed);
-    let team: usize = match opts.value("team") {
-        Some(t) => t.parse().map_err(|_| CliError {
-            message: "bad --team".into(),
-        })?,
-        None => scenario.team_size(&flag, &cfg),
-    };
-    let stream = opts.flag("stream");
-    let dashboard = opts.flag("dashboard");
+    let which = opts.target(
+        "usage: flagsim sweep <SCENARIO> [--reps M] [--jobs N] \
+         [--flag NAME] [--kind KIND] [--seed N] [--team N] [--warmup] [--stream] \
+         [--progress] [--dashboard] [--trace-out FILE] [--log-level LEVEL]",
+    )?;
+    let run = resolve_run(opts)?;
+    let (scenario, team) = run.scenario(opts, which)?;
+    let reps = opts.count("reps")? as u64;
+    let jobs = opts.count("jobs")?;
+    let stream = opts.has("stream");
+    let dashboard = opts.has("dashboard");
     let trace_out = opts.value("trace-out");
-    let kit = TeamKit::uniform(kind, &flag.colors_needed(&[]));
-    if !opts.flag("no-check") {
-        preflight_static(&spec, &flag, &scenario, &kit, team + 1, &cfg, &FaultPlan::none())?;
-    }
-    let mut runner = SweepRunner::new(&scenario, &flag, &kit, &cfg)
+    run.preflight(opts, &scenario, team + 1, &FaultPlan::none())?;
+    let mut runner = SweepRunner::new(&scenario, &run.flag, &run.kit, &run.cfg)
         .team_size(team)
-        .warmup(opts.flag("warmup"))
+        .warmup(opts.has("warmup"))
         .reps(reps)
         .jobs(jobs)
         .retain_reports(!stream);
@@ -648,7 +833,7 @@ fn cmd_sweep(args: &[String]) -> Result<String, CliError> {
     if let Some(d) = &dash {
         let d = std::sync::Arc::clone(d);
         runner = runner.on_progress(move |p| d.update(p));
-    } else if opts.flag("progress") {
+    } else if opts.has("progress") {
         let step = (reps / 10).max(1);
         runner = runner.on_progress(move |p| {
             if p.completed % step == 0 || p.completed == p.total {
@@ -677,10 +862,10 @@ fn cmd_sweep(args: &[String]) -> Result<String, CliError> {
     let mut out = format!(
         "{} — {}, {} rep(s), {} job(s), seed {}{}\n\n",
         scenario.name,
-        spec.name,
+        run.spec.name,
         reps,
         jobs,
-        seed,
+        run.seed,
         if stream {
             ", streaming statistics (reports dropped)"
         } else {
@@ -743,51 +928,23 @@ fn cmd_sweep_shard(opts: &Opts) -> Result<String, CliError> {
     let job = match &resume {
         Some(ck) => ck.job.clone(),
         None => {
-            let Some(which) = opts.positional.first() else {
-                return err(
-                    "usage: flagsim sweep <SCENARIO> [--workers N | --connect ADDR,..] \
-                     [--checkpoint FILE] [--checkpoint-every K] [--resume FILE] \
-                     [--max-wall-secs S] [--reps M] [--jobs N] [--flag NAME] [--kind KIND] \
-                     [--seed N] [--team N] [--warmup] [--dashboard] [--trace-out FILE] \
-                     [--trace-sample N] [--obs-out FILE] [--log-level LEVEL]",
-                );
-            };
-            let spec = match opts.value("flag") {
-                Some(name) => find_flag(name)?,
-                None => library::mauritius(),
-            };
-            let flag = PreparedFlag::new(&spec);
-            let scenario = build_scenario(which, &flag)?;
-            parse_kind(opts.value("kind").unwrap_or("thick"))?;
-            let seed: u64 = opts
-                .value("seed")
-                .unwrap_or("2025")
-                .parse()
-                .map_err(|_| CliError { message: "bad --seed".into() })?;
-            let reps: u64 = opts
-                .value("reps")
-                .unwrap_or("32")
-                .parse()
-                .map_err(|_| CliError { message: "bad --reps".into() })?;
-            if reps == 0 {
-                return err("--reps must be at least 1");
-            }
-            let cfg0 = ActivityConfig::default().with_seed(seed);
-            let team: usize = match opts.value("team") {
-                Some(t) => t.parse().map_err(|_| CliError { message: "bad --team".into() })?,
-                None => scenario.team_size(&flag, &cfg0),
-            };
-            if team == 0 {
-                return err("--team must be at least 1");
-            }
+            let which = opts.target(
+                "usage: flagsim sweep <SCENARIO> [--workers N | --connect ADDR,..] \
+                 [--checkpoint FILE] [--checkpoint-every K] [--resume FILE] \
+                 [--max-wall-secs S] [--reps M] [--jobs N] [--flag NAME] [--kind KIND] \
+                 [--seed N] [--team N] [--warmup] [--dashboard] [--trace-out FILE] \
+                 [--trace-sample N] [--obs-out FILE] [--log-level LEVEL]",
+            )?;
+            let run = resolve_run(opts)?;
+            let (_, team) = run.scenario(opts, which)?;
             JobSpec {
-                scenario: which.clone(),
-                flag: spec.name.clone(),
-                kind: opts.value("kind").unwrap_or("thick").to_owned(),
-                seed,
-                reps,
+                scenario: which.to_owned(),
+                flag: run.spec.name,
+                kind: opts.get("kind")?,
+                seed: run.seed,
+                reps: opts.count("reps")? as u64,
                 team,
-                warmup: opts.flag("warmup"),
+                warmup: opts.has("warmup"),
             }
         }
     };
@@ -804,44 +961,18 @@ fn cmd_sweep_shard(opts: &Opts) -> Result<String, CliError> {
             endpoints.push(part.to_owned());
         }
     }
-    if opts.flag("connect") && endpoints.is_empty() {
+    if opts.has("connect") && endpoints.is_empty() {
         return err("--connect got no usable address");
     }
-    let workers: Option<usize> = opts
-        .value("workers")
-        .map(|w| w.parse().map_err(|_| CliError { message: "bad --workers".into() }))
+    let workers = opts
+        .has("workers")
+        .then(|| opts.count("workers"))
         .transpose()?;
-    if workers == Some(0) {
-        return err("--workers must be at least 1");
-    }
-    let jobs: usize = match opts.value("jobs") {
-        Some(j) => j.parse().map_err(|_| CliError { message: "bad --jobs".into() })?,
-        None => std::thread::available_parallelism().map_or(1, |n| n.get()),
-    };
-    if jobs == 0 {
-        return err("--jobs must be at least 1");
-    }
-    let checkpoint_every: u64 = opts
-        .value("checkpoint-every")
-        .unwrap_or("64")
-        .parse()
-        .map_err(|_| CliError { message: "bad --checkpoint-every".into() })?;
-    if checkpoint_every == 0 {
-        return err("--checkpoint-every must be at least 1");
-    }
-    let chunk: u64 = opts
-        .value("chunk")
-        .unwrap_or("8")
-        .parse()
-        .map_err(|_| CliError { message: "bad --chunk".into() })?;
-    if chunk == 0 {
-        return err("--chunk must be at least 1");
-    }
-    let max_wall = match opts.value("max-wall-secs") {
-        Some(s) => {
-            let secs: f64 = s
-                .parse()
-                .map_err(|_| CliError { message: "bad --max-wall-secs".into() })?;
+    let jobs = opts.count("jobs")?;
+    let checkpoint_every = opts.count("checkpoint-every")? as u64;
+    let chunk = opts.count("chunk")? as u64;
+    let max_wall = match opts.parse::<f64>("max-wall-secs")? {
+        Some(secs) => {
             if !secs.is_finite() || secs < 0.0 {
                 return err("--max-wall-secs must be finite and non-negative");
             }
@@ -849,7 +980,7 @@ fn cmd_sweep_shard(opts: &Opts) -> Result<String, CliError> {
         }
         None => None,
     };
-    let policy = parse_policy(opts.value("policy").unwrap_or("rebalance"))?;
+    let policy = parse_policy(&opts.get::<String>("policy")?)?;
     // Resuming keeps checkpointing to the resume file unless overridden,
     // so a twice-killed sweep stays resumable.
     let checkpoint_path = opts
@@ -865,16 +996,12 @@ fn cmd_sweep_shard(opts: &Opts) -> Result<String, CliError> {
     }
     let worker_count = endpoints.len();
 
-    let dashboard = opts.flag("dashboard");
+    let dashboard = opts.has("dashboard");
     let trace_out = opts.value("trace-out");
     let obs_out = opts.value("obs-out");
     // 0 = auto: the coordinator aims for ~256 instrumented reps per
     // campaign so shipping cost stays bounded on huge sweeps.
-    let trace_sample: u64 = opts
-        .value("trace-sample")
-        .unwrap_or("0")
-        .parse()
-        .map_err(|_| CliError { message: "bad --trace-sample".into() })?;
+    let trace_sample: u64 = opts.get("trace-sample")?;
     // Trace file and dashboard both need the telemetry collector; the
     // global slot is generation-guarded, so install exactly one. The
     // fleet hub is independent of the collector (it only powers the
@@ -1125,19 +1252,14 @@ fn spawn_local_workers(
 /// `--listen ADDR` (port 0 picks an ephemeral port), prints the bound
 /// address on stdout, and answers `hello`/`lease` frames until the
 /// coordinator shuts the session down (`--once`) or forever.
-fn cmd_worker(args: &[String]) -> Result<String, CliError> {
-    let opts = parse_opts(args, &["listen", "name", "log-level"])?;
+fn cmd_worker(opts: &Opts) -> Result<String, CliError> {
     let Some(addr) = opts.value("listen") else {
         return err(
             "usage: flagsim worker --listen ADDR [--once] [--quiet] [--name NAME] \
              [--log-level LEVEL]",
         );
     };
-    if let Some(level) = opts.value("log-level") {
-        let parsed = flagsim_telemetry::Level::parse(level)
-            .map_err(|message| CliError { message })?;
-        flagsim_telemetry::log::set_level(parsed);
-    }
+    set_log_level(opts)?;
     let listener = std::net::TcpListener::bind(addr).map_err(|e| CliError {
         message: format!("cannot listen on {addr}: {e}"),
     })?;
@@ -1149,12 +1271,12 @@ fn cmd_worker(args: &[String]) -> Result<String, CliError> {
     println!("worker: listening on {local}");
     std::io::Write::flush(&mut std::io::stdout()).ok();
     let worker_opts = flagsim_shard::WorkerOptions {
-        once: opts.flag("once"),
+        once: opts.has("once"),
         name: opts
             .value("name")
             .map(str::to_owned)
             .unwrap_or_else(|| format!("worker-{}", std::process::id())),
-        quiet: opts.flag("quiet"),
+        quiet: opts.has("quiet"),
         drop_telemetry_every: 0,
     };
     flagsim_shard::serve(&listener, &worker_opts).map_err(|e| CliError {
@@ -1169,53 +1291,19 @@ fn cmd_worker(args: &[String]) -> Result<String, CliError> {
 /// bounds (infinite implements, zero warmup, perfect balance),
 /// cross-checked against the trace-derived task graph's span.
 /// `--format json` emits the same analysis machine-readably.
-fn cmd_explain(args: &[String]) -> Result<String, CliError> {
-    let opts = parse_opts(args, &["flag", "kind", "seed", "team", "jobs", "format"])?;
-    let Some(which) = opts.positional.first() else {
-        return err(
-            "usage: flagsim explain <SCENARIO> [--format text|json] [--flag NAME] \
-             [--kind KIND] [--seed N] [--team N] [--jobs N]",
-        );
-    };
-    let spec = match opts.value("flag") {
-        Some(name) => find_flag(name)?,
-        None => library::mauritius(),
-    };
-    let flag = PreparedFlag::new(&spec);
-    let scenario = build_scenario(which, &flag)?;
-    let kind = parse_kind(opts.value("kind").unwrap_or("thick"))?;
-    let seed: u64 = opts
-        .value("seed")
-        .unwrap_or("2025")
-        .parse()
-        .map_err(|_| CliError {
-            message: "bad --seed".into(),
-        })?;
-    let jobs: usize = opts
-        .value("jobs")
-        .unwrap_or("1")
-        .parse()
-        .map_err(|_| CliError {
-            message: "bad --jobs".into(),
-        })?;
-    if jobs == 0 {
-        return err("--jobs must be at least 1");
-    }
-    let cfg = ActivityConfig::default().with_seed(seed);
-    let team: usize = match opts.value("team") {
-        Some(t) => t.parse().map_err(|_| CliError {
-            message: "bad --team".into(),
-        })?,
-        None => scenario.team_size(&flag, &cfg),
-    };
-    if team == 0 {
-        return err("--team must be at least 1");
-    }
-    let kit = TeamKit::uniform(kind, &flag.colors_needed(&[]));
-    let explanation =
-        flagsim_core::explain::explain_scenario(&scenario, &flag, &kit, &cfg, team, jobs)
-            .map_err(|message| CliError { message })?;
-    match opts.value("format").unwrap_or("text") {
+fn cmd_explain(opts: &Opts) -> Result<String, CliError> {
+    let which = opts.target(
+        "usage: flagsim explain <SCENARIO> [--format text|json] [--flag NAME] \
+         [--kind KIND] [--seed N] [--team N] [--jobs N]",
+    )?;
+    let run = resolve_run(opts)?;
+    let (scenario, team) = run.scenario(opts, which)?;
+    let jobs = opts.count("jobs")?;
+    let explanation = flagsim_core::explain::explain_scenario(
+        &scenario, &run.flag, &run.kit, &run.cfg, team, jobs,
+    )
+    .map_err(|message| CliError { message })?;
+    match opts.value("format").unwrap_or_default() {
         "text" => Ok(explanation.render_text(72)),
         "json" => Ok(explanation.to_json()),
         other => err(format!("unknown format {other:?} (use text or json)")),
@@ -1227,64 +1315,26 @@ fn cmd_explain(args: &[String]) -> Result<String, CliError> {
 /// JSON (load it in `chrome://tracing` or Perfetto), collapsed
 /// flamegraph stacks, or an aggregated self-time table. `--metrics`
 /// appends the metrics registry in text exposition.
-fn cmd_profile(args: &[String]) -> Result<String, CliError> {
+fn cmd_profile(opts: &Opts) -> Result<String, CliError> {
     use flagsim_core::sweep::SweepRunner;
 
-    let opts = parse_opts(
-        args,
-        &["out", "format", "reps", "jobs", "flag", "kind", "seed"],
+    let which = opts.target(
+        "usage: flagsim profile <SCENARIO> [--out FILE] \
+         [--format chrome|folded|table] [--metrics] [--reps M] [--jobs N] \
+         [--flag NAME] [--kind KIND] [--seed N]",
     )?;
-    let Some(which) = opts.positional.first() else {
-        return err(
-            "usage: flagsim profile <SCENARIO> [--out FILE] \
-             [--format chrome|folded|table] [--metrics] [--reps M] [--jobs N] \
-             [--flag NAME] [--kind KIND] [--seed N]",
-        );
-    };
-    let format = opts.value("format").unwrap_or("chrome");
+    let format = opts.value("format").unwrap_or_default();
     if !matches!(format, "chrome" | "folded" | "table") {
         return err(format!(
             "unknown format {format:?} (use chrome, folded, or table)"
         ));
     }
-    let spec = match opts.value("flag") {
-        Some(name) => find_flag(name)?,
-        None => library::mauritius(),
-    };
-    let flag = PreparedFlag::new(&spec);
-    let scenario = build_scenario(which, &flag)?;
-    let kind = parse_kind(opts.value("kind").unwrap_or("thick"))?;
-    let seed: u64 = opts
-        .value("seed")
-        .unwrap_or("2025")
-        .parse()
-        .map_err(|_| CliError {
-            message: "bad --seed".into(),
-        })?;
-    let reps: u64 = opts
-        .value("reps")
-        .unwrap_or("4")
-        .parse()
-        .map_err(|_| CliError {
-            message: "bad --reps".into(),
-        })?;
-    if reps == 0 {
-        return err("--reps must be at least 1");
-    }
-    let jobs: usize = opts
-        .value("jobs")
-        .unwrap_or("1")
-        .parse()
-        .map_err(|_| CliError {
-            message: "bad --jobs".into(),
-        })?;
-    if jobs == 0 {
-        return err("--jobs must be at least 1");
-    }
-    let cfg = ActivityConfig::default().with_seed(seed);
-    let kit = TeamKit::uniform(kind, &flag.colors_needed(&[]));
-    let runner = SweepRunner::new(&scenario, &flag, &kit, &cfg)
-        .team_size(scenario.team_size(&flag, &cfg))
+    let run = resolve_run(opts)?;
+    let (scenario, team) = run.scenario(opts, which)?;
+    let reps = opts.count("reps")? as u64;
+    let jobs = opts.count("jobs")?;
+    let runner = SweepRunner::new(&scenario, &run.flag, &run.kit, &run.cfg)
+        .team_size(team)
         .reps(reps)
         .jobs(jobs)
         .retain_reports(false);
@@ -1319,7 +1369,7 @@ fn cmd_profile(args: &[String]) -> Result<String, CliError> {
         }
         None => out.push_str(&rendered),
     }
-    if opts.flag("metrics") {
+    if opts.has("metrics") {
         if !out.is_empty() && !out.ends_with('\n') {
             out.push('\n');
         }
@@ -1329,15 +1379,8 @@ fn cmd_profile(args: &[String]) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn cmd_session(args: &[String]) -> Result<String, CliError> {
-    let opts = parse_opts(args, &["seed"])?;
-    let seed: u64 = opts
-        .value("seed")
-        .unwrap_or("42")
-        .parse()
-        .map_err(|_| CliError {
-            message: "bad --seed".into(),
-        })?;
+fn cmd_session(opts: &Opts) -> Result<String, CliError> {
+    let seed = opts.get("seed")?;
     let mut session = ClassroomSession::new(
         &library::mauritius(),
         ActivityConfig::default().with_seed(seed),
@@ -1346,7 +1389,7 @@ fn cmd_session(args: &[String]) -> Result<String, CliError> {
     session.add_team("ThickMk", 5, ImplementKind::ThickMarker);
     session.add_team("ThinMk", 5, ImplementKind::ThinMarker);
     let all = session
-        .run_core_activity(opts.flag("repeat"))
+        .run_core_activity(opts.has("repeat"))
         .map_err(|message| CliError { message })?;
     let mut out = session.board_table();
     // The debrief: lessons for team 2 (thick markers) plus the hardware
@@ -1369,7 +1412,7 @@ fn cmd_session(args: &[String]) -> Result<String, CliError> {
 /// Parse `--deny LEVEL` / `--allow IDS` / `--format F` shared by `check`
 /// and `lint`.
 fn parse_diag_opts(opts: &Opts) -> Result<(simcheck::Severity, Vec<String>, String), CliError> {
-    let deny_name = opts.value("deny").unwrap_or("error");
+    let deny_name = opts.value("deny").unwrap_or_default();
     let Some(deny) = simcheck::Severity::parse(deny_name) else {
         return err(format!(
             "unknown --deny level {deny_name:?} (use note, warning, or error)"
@@ -1379,7 +1422,7 @@ fn parse_diag_opts(opts: &Opts) -> Result<(simcheck::Severity, Vec<String>, Stri
         .value("allow")
         .map(|s| s.split(',').map(|a| a.trim().to_owned()).collect())
         .unwrap_or_default();
-    let format = opts.value("format").unwrap_or("text");
+    let format = opts.value("format").unwrap_or_default();
     if !matches!(format, "text" | "json") {
         return err(format!("unknown format {format:?} (use text or json)"));
     }
@@ -1423,24 +1466,16 @@ fn finish_report(
 /// happens-before race analysis), a library flag (spec lints), a fault
 /// plan string (plan validation), or `demo-deadlock` (the lock-order
 /// cycle the drill is built to have).
-fn cmd_check(args: &[String]) -> Result<String, CliError> {
+fn cmd_check(opts: &Opts) -> Result<String, CliError> {
     use flagsim_core::sweep::SweepRunner;
 
-    let opts = parse_opts(
-        args,
-        &[
-            "flag", "kind", "team", "seed", "jobs", "plan", "policy", "format", "deny", "allow",
-        ],
+    let what = opts.target(
+        "usage: flagsim check <SCENARIO|FLAG|PLAN|demo-deadlock> \
+         [--format text|json] [--deny note|warning|error] [--allow IDS] \
+         [--static-only] [--flag NAME] [--kind KIND] [--team N] [--seed N] \
+         [--jobs N] [--plan SPEC] [--policy P] [--no-check is for run/sweep/faults]",
     )?;
-    let Some(what) = opts.positional.first() else {
-        return err(
-            "usage: flagsim check <SCENARIO|FLAG|PLAN|demo-deadlock> \
-             [--format text|json] [--deny note|warning|error] [--allow IDS] \
-             [--static-only] [--flag NAME] [--kind KIND] [--team N] [--seed N] \
-             [--jobs N] [--plan SPEC] [--policy P] [--no-check is for run/sweep/faults]",
-        );
-    };
-    let (deny, allow, format) = parse_diag_opts(&opts)?;
+    let (deny, allow, format) = parse_diag_opts(opts)?;
 
     // Target: the demo-deadlock drill — purely static.
     if what == "demo-deadlock" {
@@ -1462,21 +1497,7 @@ fn cmd_check(args: &[String]) -> Result<String, CliError> {
         return finish_report(report, deny, &allow, &format);
     }
 
-    let spec = match opts.value("flag") {
-        Some(name) => find_flag(name)?,
-        None => library::mauritius(),
-    };
-    let flag = PreparedFlag::new(&spec);
-    let kind = parse_kind(opts.value("kind").unwrap_or("thick"))?;
-    let kit = TeamKit::uniform(kind, &flag.colors_needed(&[]));
-    let seed: u64 = opts
-        .value("seed")
-        .unwrap_or("2025")
-        .parse()
-        .map_err(|_| CliError {
-            message: "bad --seed".into(),
-        })?;
-    let cfg = ActivityConfig::default().with_seed(seed);
+    let run = resolve_run(opts)?;
     let mut plan = match opts.value("plan") {
         Some(s) => FaultPlan::parse(s, "cli plan").map_err(|message| CliError { message })?,
         None => FaultPlan::none(),
@@ -1495,67 +1516,48 @@ fn cmd_check(args: &[String]) -> Result<String, CliError> {
         if let Some(p) = opts.value("policy") {
             plan = plan.with_policy(parse_policy(p)?);
         }
-        let coloring: usize = match opts.value("team") {
-            Some(t) => t.parse().map_err(|_| CliError {
-                message: "bad --team".into(),
-            })?,
-            None => 4,
-        };
+        // Here `--team` counts coloring students only, with no timer.
+        let coloring: usize = opts.parse("team")?.unwrap_or(4);
         let mut report = simcheck::Report::new(format!("fault plan {what:?}"));
         report.extend(simcheck::check_fault_plan(
             &plan,
             coloring,
-            &flag.colors_needed(&cfg.skip_colors),
-            &kit,
+            &run.flag.colors_needed(&run.cfg.skip_colors),
+            &run.kit,
         ));
         return finish_report(report, deny, &allow, &format);
     }
 
     // Target: a scenario — the full battery.
-    let scenario = build_scenario(what, &flag)?;
-    let team: usize = match opts.value("team") {
-        Some(t) => t.parse().map_err(|_| CliError {
-            message: "bad --team".into(),
-        })?,
-        None => scenario.team_size(&flag, &cfg).max(1) + 1, // + the timer
-    };
+    let (scenario, team) = run.scenario(opts, what)?;
     let target = simcheck::CheckTarget {
-        spec: &spec,
-        flag: &flag,
+        spec: &run.spec,
+        flag: &run.flag,
         scenario: &scenario,
-        kit: &kit,
+        kit: &run.kit,
         team_size: team,
-        config: &cfg,
+        config: &run.cfg,
         plan: &plan,
     };
     let mut report = simcheck::full_report(&target);
-    if !opts.flag("static-only") {
+    if !opts.has("static-only") {
         // One deterministic repetition through the sweep runner: rep 0
         // derives the same seed on any job count, so `--jobs` can never
         // change the findings (asserted byte-for-byte in the tests).
-        let jobs: usize = opts
-            .value("jobs")
-            .unwrap_or("1")
-            .parse()
-            .map_err(|_| CliError {
-                message: "bad --jobs".into(),
-            })?;
-        if jobs == 0 {
-            return err("--jobs must be at least 1");
-        }
+        let jobs = opts.count("jobs")?;
         // Chatter to stderr: stdout is the report.
         eprintln!(
-            "check: running {} once (seed {seed}) for happens-before analysis",
-            scenario.name
+            "check: running {} once (seed {}) for happens-before analysis",
+            scenario.name, run.seed
         );
-        let run = SweepRunner::new(&scenario, &flag, &kit, &cfg)
-            .team_size(scenario.team_size(&flag, &cfg).min(team))
+        let observed = SweepRunner::new(&scenario, &run.flag, &run.kit, &run.cfg)
+            .team_size(scenario.team_size(&run.flag, &run.cfg).min(team))
             .reps(1)
             .jobs(jobs)
             .plan(&plan)
             .retain_reports(true)
             .run();
-        match run {
+        match observed {
             Ok(result) if !result.reports.is_empty() => {
                 report.extend(simcheck::check_run(&result.reports[0]).diags());
                 report.sort();
@@ -1573,15 +1575,12 @@ fn cmd_check(args: &[String]) -> Result<String, CliError> {
 
 /// `flagsim lint` — flag-spec lints for a library flag or a custom flag
 /// file, through the same diagnostics framework as `check`.
-fn cmd_lint(args: &[String]) -> Result<String, CliError> {
-    let opts = parse_opts(args, &["size", "format", "deny", "allow"])?;
-    let Some(name) = opts.positional.first() else {
-        return err(
-            "usage: flagsim lint <flag|file> [--size WxH] [--format text|json] \
-             [--deny note|warning|error] [--allow IDS]",
-        );
-    };
-    let (deny, allow, format) = parse_diag_opts(&opts)?;
+fn cmd_lint(opts: &Opts) -> Result<String, CliError> {
+    let name = opts.target(
+        "usage: flagsim lint <flag|file> [--size WxH] [--format text|json] \
+         [--deny note|warning|error] [--allow IDS]",
+    )?;
+    let (deny, allow, format) = parse_diag_opts(opts)?;
     let spec = match library::by_name(name) {
         Some(spec) => spec,
         None => {
@@ -1610,34 +1609,17 @@ fn cmd_lint(args: &[String]) -> Result<String, CliError> {
 /// `demo-deadlock` target re-proves the SC204 lock-order cycle
 /// dynamically: a concrete schedule that reaches the stall (SC411),
 /// cross-checked against the live wait-for graph.
-fn cmd_verify(args: &[String]) -> Result<String, CliError> {
-    let opts = parse_opts(
-        args,
-        &[
-            "flag", "kind", "seed", "max-schedules", "format", "deny", "allow", "witness-out",
-        ],
+fn cmd_verify(opts: &Opts) -> Result<String, CliError> {
+    let what = opts.target(
+        "usage: flagsim verify <SCENARIO|demo-deadlock> [--flag NAME] [--kind KIND] \
+         [--seed N] [--max-schedules N] [--naive] [--format text|json] \
+         [--deny note|warning|error] [--allow IDS] [--witness-out PREFIX]",
     )?;
-    let Some(what) = opts.positional.first() else {
-        return err(
-            "usage: flagsim verify <SCENARIO|demo-deadlock> [--flag NAME] [--kind KIND] \
-             [--seed N] [--max-schedules N] [--naive] [--format text|json] \
-             [--deny note|warning|error] [--allow IDS] [--witness-out PREFIX]",
-        );
-    };
-    let (deny, allow, format) = parse_diag_opts(&opts)?;
-    let max_schedules: usize = opts
-        .value("max-schedules")
-        .unwrap_or("4096")
-        .parse()
-        .map_err(|_| CliError {
-            message: "bad --max-schedules".into(),
-        })?;
-    if max_schedules == 0 {
-        return err("--max-schedules must be at least 1");
-    }
+    let (deny, allow, format) = parse_diag_opts(opts)?;
+    let max_schedules = opts.count("max-schedules")?;
     let explore_cfg = simcheck::ExploreConfig {
         max_schedules,
-        naive: opts.flag("naive"),
+        naive: opts.has("naive"),
     };
 
     // Target: the demo-deadlock drill — the static SC204 cycle plus a
@@ -1672,32 +1654,19 @@ fn cmd_verify(args: &[String]) -> Result<String, CliError> {
     }
 
     // Target: a scenario — explore its full schedule space.
-    let spec = match opts.value("flag") {
-        Some(name) => find_flag(name)?,
-        None => library::mauritius(),
-    };
-    let flag = PreparedFlag::new(&spec);
-    let scenario = build_scenario(what, &flag)?;
-    let kind = parse_kind(opts.value("kind").unwrap_or("thick"))?;
-    let kit = TeamKit::uniform(kind, &flag.colors_needed(&[]));
-    let seed: u64 = opts
-        .value("seed")
-        .unwrap_or("2025")
-        .parse()
-        .map_err(|_| CliError {
-            message: "bad --seed".into(),
-        })?;
-    let cfg = ActivityConfig::default().with_seed(seed);
+    let run = resolve_run(opts)?;
+    let (scenario, _) = run.scenario(opts, what)?;
+    let (kit, cfg, seed) = (&run.kit, &run.cfg, run.seed);
     let compiled = scenario
-        .compile(&flag, &cfg)
+        .compile(&run.flag, cfg)
         .map_err(|message| CliError { message })?;
     eprintln!(
         "verify: exploring {} on {} (seed {seed}, bound {max_schedules}{})",
         scenario.name,
-        spec.name,
+        run.spec.name,
         if explore_cfg.naive { ", naive" } else { "" }
     );
-    let ax = simcheck::explore_activity(&compiled, &kit, &cfg, &explore_cfg)
+    let ax = simcheck::explore_activity(&compiled, kit, cfg, &explore_cfg)
         .map_err(|message| CliError { message })?;
     let ex = &ax.exploration;
     eprintln!(
@@ -1711,13 +1680,13 @@ fn cmd_verify(args: &[String]) -> Result<String, CliError> {
     );
     let mut report = simcheck::Report::new(format!(
         "verify {} on {} (seed {seed})",
-        scenario.name, spec.name
+        scenario.name, run.spec.name
     ));
     report.extend(simcheck::verify_diags(ex));
     report.extend(simcheck::annotate_ties(&ax.ties, ex));
     if let Some(prefix) = opts.value("witness-out") {
         match &ex.witness {
-            Some(w) => write_witness_traces(&compiled, &kit, &cfg, w, prefix)?,
+            Some(w) => write_witness_traces(&compiled, kit, cfg, w, prefix)?,
             None => eprintln!(
                 "verify: no witness to write — every explored schedule converges"
             ),
@@ -1769,54 +1738,9 @@ fn write_witness_traces(
     Ok(())
 }
 
-/// Static preflight for `run`/`sweep`/`faults`: the same checks as
-/// `flagsim check --static-only` minus the advisory `SC4xx` checklist,
-/// failing only on Error-level findings. `--no-check` skips it.
-fn preflight_static(
-    spec: &FlagSpec,
-    flag: &PreparedFlag,
-    scenario: &Scenario,
-    kit: &TeamKit,
-    team_size: usize,
-    cfg: &ActivityConfig,
-    plan: &FaultPlan,
-) -> Result<(), CliError> {
-    let report = simcheck::static_report(&simcheck::CheckTarget {
-        spec,
-        flag,
-        scenario,
-        kit,
-        team_size,
-        config: cfg,
-        plan,
-    });
-    let (errors, _, _) = report.counts();
-    if errors > 0 {
-        return err(format!(
-            "preflight: {errors} error-level finding(s) — the run cannot work as \
-             configured (re-run with --no-check to try anyway)\n{}",
-            report.render_text()
-        ));
-    }
-    Ok(())
-}
-
-fn cmd_graph(args: &[String]) -> Result<String, CliError> {
-    let opts = parse_opts(args, &["procs"])?;
-    let Some(name) = opts.positional.first() else {
-        return err("usage: flagsim graph <flag> [--procs N]");
-    };
-    let spec = find_flag(name)?;
-    let procs: usize = opts
-        .value("procs")
-        .unwrap_or("4")
-        .parse()
-        .map_err(|_| CliError {
-            message: "bad --procs".into(),
-        })?;
-    if procs == 0 {
-        return err("--procs must be at least 1");
-    }
+fn cmd_graph(opts: &Opts) -> Result<String, CliError> {
+    let spec = find_flag(opts.target("usage: flagsim graph <flag> [--procs N]")?)?;
+    let procs = opts.count("procs")?;
     let g = layered::flag_taskgraph(&spec, 2000);
     let mut out = g.to_dot(&spec.name);
     let (path, span) = analysis::critical_path(&g);
@@ -1835,10 +1759,8 @@ fn cmd_graph(args: &[String]) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn cmd_grade(args: &[String]) -> Result<String, CliError> {
-    let Some(path) = args.first() else {
-        return err("usage: flagsim grade <file>");
-    };
+fn cmd_grade(opts: &Opts) -> Result<String, CliError> {
+    let path = opts.target("usage: flagsim grade <file>")?;
     let text = std::fs::read_to_string(path).map_err(|e| CliError {
         message: format!("cannot read {path}: {e}"),
     })?;
@@ -1868,75 +1790,40 @@ pub fn grade_text(text: &str) -> Result<String, CliError> {
 /// assignments — the shared recorded-run source behind `replay` and
 /// `watch`.
 fn recorded_run(
-    which: &str,
     opts: &Opts,
-    check: bool,
+    which: &str,
 ) -> Result<(String, flagsim_core::RunReport, Vec<Vec<flagsim_core::WorkItem>>), CliError> {
-    let spec = match opts.value("flag") {
-        Some(name) => find_flag(name)?,
-        None => library::mauritius(),
-    };
-    let flag = PreparedFlag::new(&spec);
-    let scenario = build_scenario(which, &flag)?;
-    let seed: u64 = opts
-        .value("seed")
-        .unwrap_or("2025")
-        .parse()
-        .map_err(|_| CliError {
-            message: "bad --seed".into(),
-        })?;
-    let cfg = ActivityConfig::default().with_seed(seed);
-    let assignments = scenario
-        .strategy
-        .assignments(&flag, scenario.order, &cfg.skip_colors);
+    let run = resolve_run(opts)?;
+    let (scenario, _) = run.scenario(opts, which)?;
+    let assignments =
+        scenario
+            .strategy
+            .assignments(&run.flag, scenario.order, &run.cfg.skip_colors);
     let size = assignments.len();
-    let mut team: Vec<StudentProfile> =
-        (1..=size).map(|i| StudentProfile::new(format!("P{i}"))).collect();
-    let kit = TeamKit::uniform(
-        parse_kind(opts.value("kind").unwrap_or("thick"))?,
-        &flag.colors_needed(&[]),
-    );
-    if check {
-        preflight_static(
-            &spec,
-            &flag,
-            &scenario,
-            &kit,
-            size + 1,
-            &cfg,
-            &FaultPlan::none(),
-        )?;
-    }
+    let mut team = fresh_team(size);
+    run.preflight(opts, &scenario, size + 1, &FaultPlan::none())?;
     let report = flagsim_core::run_activity(
         scenario.name.clone(),
-        &flag,
+        &run.flag,
         &assignments,
         &mut team,
-        &kit,
-        &cfg,
+        &run.kit,
+        &run.cfg,
+        &FaultPlan::none(),
+        None,
     )
+    .and_then(flagsim_core::ActivityOutcome::into_report)
     .map_err(|message| CliError { message })?;
-    let title = format!("{} — {} (seed {seed})", report.label, spec.name);
+    let title = format!("{} — {} (seed {})", report.label, run.spec.name, run.seed);
     Ok((title, report, assignments))
 }
 
-fn cmd_replay(args: &[String]) -> Result<String, CliError> {
+fn cmd_replay(opts: &Opts) -> Result<String, CliError> {
     use flagsim_core::replay::Replay;
-    let opts = parse_opts(args, &["flag", "kind", "frames", "seed"])?;
-    let Some(which) = opts.positional.first() else {
-        return err("usage: flagsim replay <1|2|3|4|pipelined|alternating> [--frames N]");
-    };
-    let frames: usize = opts
-        .value("frames")
-        .unwrap_or("6")
-        .parse()
-        .map_err(|_| CliError {
-            message: "bad --frames".into(),
-        })?;
-    if frames == 0 {
-        return err("--frames must be at least 1");
-    }
-    let (_, report, assignments) = recorded_run(which, &opts, false)?;
+    let which =
+        opts.target("usage: flagsim replay <1|2|3|4|pipelined|alternating> [--frames N]")?;
+    let frames = opts.count("frames")?;
+    let (_, report, assignments) = recorded_run(opts, which)?;
     let replay = Replay::new(&report, &assignments);
     let mut out = format!("{} — the flag filling in:\n\n", report.label);
     for frame in replay.ascii_frames(frames) {
@@ -1951,16 +1838,9 @@ const WATCH_USAGE: &str = "usage: flagsim watch <SCENARIO> [--flag NAME] [--kind
        flagsim watch --trace FILE [--script KEYS] [--frames-out FILE]\n\
        flagsim watch (--connect ADDR | --follow FILE) [--once] [--width N]";
 
-fn cmd_watch(args: &[String]) -> Result<String, CliError> {
+fn cmd_watch(opts: &Opts) -> Result<String, CliError> {
     use flagsim_watch::{app, chrome, frame, input};
     use std::io::IsTerminal;
-    let opts = parse_opts(
-        args,
-        &[
-            "flag", "kind", "seed", "script", "frames-out", "width", "trace", "connect",
-            "follow",
-        ],
-    )?;
     let width = match opts.value("width") {
         Some(w) => w
             .parse::<usize>()
@@ -1971,8 +1851,8 @@ fn cmd_watch(args: &[String]) -> Result<String, CliError> {
             })?,
         None => flagsim_watch::term::detect_width(),
     };
-    if opts.value("connect").is_some() || opts.value("follow").is_some() {
-        return watch_live(&opts, width);
+    if opts.has("connect") || opts.has("follow") {
+        return watch_live(opts, width);
     }
     let data = if let Some(path) = opts.value("trace") {
         let text = std::fs::read_to_string(path).map_err(|e| CliError {
@@ -1982,10 +1862,7 @@ fn cmd_watch(args: &[String]) -> Result<String, CliError> {
             chrome::parse_chrome_trace(&text).map_err(|message| CliError { message })?;
         app::ReplayData::from_trace(format!("trace file {path}"), trace)
     } else {
-        let Some(which) = opts.positional.first() else {
-            return err(WATCH_USAGE);
-        };
-        let (title, report, assignments) = recorded_run(which, &opts, !opts.flag("no-check"))?;
+        let (title, report, assignments) = recorded_run(opts, opts.target(WATCH_USAGE)?)?;
         app::ReplayData::from_report(title, &report, &assignments)
     };
     // Scripted mode: a fixed key sequence, one frame per key, no clock —
@@ -2031,7 +1908,7 @@ fn watch_live(opts: &Opts, width: usize) -> Result<String, CliError> {
         (_, Some(path)) => SnapshotSource::follow(path),
         _ => return err(WATCH_USAGE),
     };
-    let once = opts.flag("once");
+    let once = opts.has("once");
     let mut out = std::io::stdout();
     let mut panel =
         flagsim_watch::term::Panel::new(std::io::stdout().is_terminal() && !once, width);
@@ -2075,21 +1952,14 @@ fn watch_live(opts: &Opts, width: usize) -> Result<String, CliError> {
     }
 }
 
-fn cmd_report(args: &[String]) -> Result<String, CliError> {
-    let opts = parse_opts(args, &["seed"])?;
-    let seed: u64 = opts
-        .value("seed")
-        .unwrap_or("2025")
-        .parse()
-        .map_err(|_| CliError {
-            message: "bad --seed".into(),
-        })?;
+fn cmd_report(opts: &Opts) -> Result<String, CliError> {
+    let seed = opts.get("seed")?;
     Ok(flagsim_assessment::report::full_report(seed))
 }
 
-fn cmd_vocab(args: &[String]) -> Result<String, CliError> {
+fn cmd_vocab(opts: &Opts) -> Result<String, CliError> {
     use flagsim_core::glossary;
-    match args.first() {
+    match opts.positional.first() {
         None => Ok(glossary::render_glossary()),
         Some(word) => match glossary::lookup(word) {
             Some(t) => Ok(format!(
@@ -2101,28 +1971,17 @@ fn cmd_vocab(args: &[String]) -> Result<String, CliError> {
     }
 }
 
-fn cmd_pack(args: &[String]) -> Result<String, CliError> {
-    let opts = parse_opts(args, &["out", "flag", "kind", "seed"])?;
+fn cmd_pack(opts: &Opts) -> Result<String, CliError> {
     let Some(dir) = opts.value("out") else {
         return err("usage: flagsim pack --out DIR [--flag NAME] [--kind KIND] [--seed N]");
     };
-    let spec = match opts.value("flag") {
-        Some(name) => find_flag(name)?,
-        None => library::mauritius(),
-    };
-    let kind = parse_kind(opts.value("kind").unwrap_or("thick"))?;
-    let seed: u64 = opts
-        .value("seed")
-        .unwrap_or("2025")
-        .parse()
-        .map_err(|_| CliError {
-            message: "bad --seed".into(),
-        })?;
-    let files = build_pack(&spec, kind, seed).map_err(|message| CliError { message })?;
+    let run = resolve_run(opts)?;
+    let files =
+        build_pack(&run.spec, run.kind, run.seed).map_err(|message| CliError { message })?;
     std::fs::create_dir_all(dir).map_err(|e| CliError {
         message: format!("cannot create {dir}: {e}"),
     })?;
-    let mut out = format!("instructor pack for {} in {dir}/:\n", spec.name);
+    let mut out = format!("instructor pack for {} in {dir}/:\n", run.spec.name);
     for (name, content) in &files {
         let path = format!("{dir}/{name}");
         std::fs::write(&path, content).map_err(|e| CliError {
@@ -2228,10 +2087,8 @@ pub fn build_pack(
     Ok(files)
 }
 
-fn cmd_parse(args: &[String]) -> Result<String, CliError> {
-    let Some(path) = args.first() else {
-        return err("usage: flagsim parse <file>");
-    };
+fn cmd_parse(opts: &Opts) -> Result<String, CliError> {
+    let path = opts.target("usage: flagsim parse <file>")?;
     let text = std::fs::read_to_string(path).map_err(|e| CliError {
         message: format!("cannot read {path}: {e}"),
     })?;
@@ -2269,6 +2126,27 @@ mod tests {
 
     fn runv(args: &[&str]) -> Result<String, CliError> {
         run(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn option_table_has_one_row_per_option_and_subcommand() {
+        let names: Vec<&str> = COMMANDS.iter().map(|(name, _)| *name).collect();
+        for (i, a) in OPTIONS.iter().enumerate() {
+            for command in a.commands {
+                assert!(
+                    names.contains(command),
+                    "--{} names unknown {command}",
+                    a.name
+                );
+                assert!(
+                    OPTIONS[i + 1..]
+                        .iter()
+                        .all(|b| b.name != a.name || !b.commands.contains(command)),
+                    "--{} is declared twice for {command}",
+                    a.name
+                );
+            }
+        }
     }
 
     #[test]

@@ -118,6 +118,94 @@ fn bad_command_exits_nonzero_with_stderr() {
 }
 
 #[test]
+fn undeclared_options_exit_2_naming_the_option_and_subcommand() {
+    for (args, option, command) in [
+        (&["run", "4", "--seeed", "5"][..], "--seeed", "flagsim run"),
+        (&["run", "4", "--team", "3"], "--team", "flagsim run"),
+        (
+            &["explain", "4", "--markers", "2"],
+            "--markers",
+            "flagsim explain",
+        ),
+        (
+            &["sweep", "4", "--reps", "4", "--format", "json"],
+            "--format",
+            "flagsim sweep",
+        ),
+    ] {
+        let (stdout, stderr, code) = flagsim_code(args);
+        assert_eq!(code, 2, "args {args:?} must exit 2, stderr: {stderr}");
+        assert!(stdout.is_empty(), "nothing runs for {args:?}: {stdout}");
+        assert!(
+            stderr.starts_with(&format!("error: unknown option {option} for {command}")),
+            "{stderr}"
+        );
+    }
+}
+
+/// The options each subcommand's USAGE section advertises, by subcommand.
+fn advertised_options() -> std::collections::BTreeMap<String, std::collections::BTreeSet<String>> {
+    let (usage, _, ok) = flagsim(&["help"]);
+    assert!(ok);
+    let mut by_command = std::collections::BTreeMap::new();
+    let mut current = String::new();
+    let body = usage.split("USAGE:\n").nth(1).expect("USAGE section");
+    for line in body.lines().take_while(|l| !l.trim().is_empty()) {
+        let words: Vec<&str> = line.split_whitespace().collect();
+        if words[0] == "flagsim" {
+            current = words[1].to_owned();
+        }
+        let options: &mut std::collections::BTreeSet<String> =
+            by_command.entry(current.clone()).or_default();
+        for word in &words {
+            if let Some(i) = word.find("--") {
+                let name: String = word[i..]
+                    .chars()
+                    .take_while(|c| *c == '-' || c.is_ascii_lowercase())
+                    .collect();
+                options.insert(name);
+            }
+        }
+    }
+    by_command
+}
+
+#[test]
+fn usage_and_option_table_agree_for_every_subcommand() {
+    let advertised = advertised_options();
+    assert!(advertised.len() >= 20, "{advertised:?}");
+    for (command, options) in &advertised {
+        // Every advertised option parses: the error names the bogus
+        // option after it, not the advertised one. A trailing "1" is
+        // the value of a value option, or a stray positional after a
+        // switch — either way nothing runs.
+        for option in options {
+            let args = [command.as_str(), option.as_str(), "1", "--not-an-option"];
+            let (_, stderr, code) = flagsim_code(&args);
+            assert_eq!(code, 2, "{args:?}: {stderr}");
+            assert!(
+                stderr.starts_with("error: unknown option --not-an-option"),
+                "{args:?} is advertised but rejected: {stderr}"
+            );
+        }
+        // Every option the table declares is advertised: the rejection
+        // lists exactly what the subcommand takes.
+        let (_, stderr, _) = flagsim_code(&[command.as_str(), "--not-an-option"]);
+        let (_, taken) = stderr
+            .split_once("(it takes: ")
+            .expect("lists what it takes");
+        let declared: std::collections::BTreeSet<String> = taken
+            .trim_end()
+            .trim_end_matches(')')
+            .split(' ')
+            .filter(|w| w.starts_with("--"))
+            .map(str::to_owned)
+            .collect();
+        assert_eq!(&declared, options, "flagsim {command}: table vs usage");
+    }
+}
+
+#[test]
 fn grade_reads_a_real_file() {
     let dir = std::env::temp_dir();
     let path = dir.join(format!("flagsim-sub-{}.txt", std::process::id()));

@@ -148,8 +148,12 @@ impl ClassroomSession {
                     .wrapping_add(self.runs),
                 ..self.config.clone()
             };
-            match scenario.run_with_faults(&self.flag, &mut team.students, &team.kit, &cfg, plan)
-            {
+            let run = scenario.compile(&self.flag, &cfg).and_then(|compiled| {
+                compiled
+                    .run_scheduled(&mut team.students, &team.kit, &cfg, plan, None)?
+                    .into_report()
+            });
+            match run {
                 Ok(report) => {
                     self.board.push(BoardEntry {
                         team: team.name.clone(),

@@ -13,7 +13,7 @@
 //! Plans are plain data (build them with the fluent constructors, parse
 //! them from the CLI mini-DSL with [`FaultPlan::parse`], or draw a random
 //! one from a seed with [`FaultPlan::random`]) and are injected by
-//! [`run_activity_with_faults`](crate::run::run_activity_with_faults).
+//! [`run_activity`](crate::run::run_activity).
 
 use flagsim_grid::Color;
 use std::fmt;

@@ -8,7 +8,7 @@
 //! [`config::ActivityConfig`] adds the team, their drawing implements and
 //! the stochastic cost model; [`run::run_activity`] wires it all into the
 //! [`flagsim_desim`] engine — students are processes, the team's one
-//! marker of each color is an exclusive resource — and returns a
+//! marker of each color is an exclusive resource — and yields a
 //! [`report::RunReport`] with the completion time the scenario's timer
 //! student would have shouted out, plus everything the timer couldn't
 //! see: per-student busy/wait/idle, per-marker contention, and the final
@@ -45,6 +45,6 @@ pub use explain::{explain_report, explain_scenario, Explanation};
 pub use faults::{FaultEvent, FaultPlan, RecoveryPolicy, ResilienceReport};
 pub use partition::{CellOrder, PartitionStrategy};
 pub use report::RunReport;
-pub use run::{run_activity, run_activity_scheduled, run_activity_with_faults, ActivityOutcome};
+pub use run::{run_activity, ActivityOutcome};
 pub use scenario::Scenario;
 pub use work::WorkItem;

@@ -219,9 +219,9 @@ mod tests {
     use super::*;
     use crate::config::ActivityConfig;
     use crate::partition::{CellOrder, PartitionStrategy};
-    use crate::run_activity;
     use crate::work::PreparedFlag;
     use crate::TeamKit;
+    use crate::{run_activity, ActivityOutcome, FaultPlan};
     use flagsim_agents::{ImplementKind, StudentProfile};
     use flagsim_flags::library;
 
@@ -240,7 +240,10 @@ mod tests {
             &mut team,
             &kit,
             &ActivityConfig::default().with_seed(3),
+            &FaultPlan::none(),
+            None,
         )
+        .and_then(ActivityOutcome::into_report)
         .unwrap();
         (report, assignments, pf)
     }
@@ -298,7 +301,10 @@ mod tests {
             &mut team,
             &kit,
             &ActivityConfig::default().with_deadline_secs(60.0),
+            &FaultPlan::none(),
+            None,
         )
+        .and_then(ActivityOutcome::into_report)
         .unwrap();
         let replay = Replay::new(&report, &assignments);
         assert!(replay.completions().len() < 96);
@@ -325,7 +331,10 @@ mod tests {
             &mut team,
             &kit,
             &ActivityConfig::default().with_seed(3).with_deadline_secs(60.0),
+            &FaultPlan::none(),
+            None,
         )
+        .and_then(ActivityOutcome::into_report)
         .unwrap();
         let replay = Replay::new(&report, &assignments);
         assert!(replay.cut_off(), "the bell should interrupt a stroke mid-flight");

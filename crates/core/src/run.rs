@@ -5,10 +5,10 @@
 //! durations are pre-sampled (they depend only on the student's own
 //! history, not on interleaving), so the DES run itself is exact.
 //!
-//! Fault injection ([`run_activity_with_faults`]) threads a shared
-//! [`faults::FaultPlan`] through the same state machine: students consult
-//! the live fault state at every poll, so dropouts leave at their next
-//! natural pause, broken implements are discovered by the next student to
+//! Fault injection (the `plan` argument of [`run_activity`]) threads a
+//! shared [`faults::FaultPlan`] through the same state machine: students
+//! consult the live fault state at every poll, so dropouts leave at their
+//! next natural pause, broken implements are discovered by the next student to
 //! use them, and orphaned cells sit in a shared pool that survivors adopt
 //! after finishing their own work. Orphaned cells keep their pre-sampled
 //! durations — the adopting survivor colors at the dropout's pace — a
@@ -261,54 +261,10 @@ impl Process for StudentProc {
     }
 }
 
-/// Run the activity: `assignments[i]` is the cell list for `team[i]`.
-///
-/// The `team` profiles are mutated — their warm-up experience advances, so
-/// running scenario 1 twice with the same team reproduces the paper's
-/// "second run is significantly better" observation.
-///
-/// Errors if the kit is missing or has dead implements for a needed color
-/// (the §IV dry-run would have caught it), or if assignments don't match
-/// the team.
-pub fn run_activity(
-    label: impl Into<String>,
-    flag: &PreparedFlag,
-    assignments: &[Vec<WorkItem>],
-    team: &mut [StudentProfile],
-    kit: &TeamKit,
-    config: &ActivityConfig,
-) -> Result<RunReport, String> {
-    run_activity_with_faults(label, flag, assignments, team, kit, config, &FaultPlan::none())
-}
-
-/// [`run_activity`] with a [`FaultPlan`] injected. The run survives every
-/// planned mishap (or aborts cleanly, per the plan's policy) and attaches
-/// a [`ResilienceReport`] to the returned report whenever the plan is
-/// non-empty. Engine-level failures (a stall, a tripped live-lock guard)
-/// come back as `Err` strings instead of panicking, so batch drivers can
-/// record them and keep going.
-pub fn run_activity_with_faults(
-    label: impl Into<String>,
-    flag: &PreparedFlag,
-    assignments: &[Vec<WorkItem>],
-    team: &mut [StudentProfile],
-    kit: &TeamKit,
-    config: &ActivityConfig,
-    plan: &FaultPlan,
-) -> Result<RunReport, String> {
-    match run_activity_scheduled(label, flag, assignments, team, kit, config, plan, None)? {
-        ActivityOutcome::Completed(report) => Ok(*report),
-        ActivityOutcome::Stalled(waiters) => Err(format!(
-            "simulation failed: {}",
-            SimError::Stalled { waiters }
-        )),
-    }
-}
-
-/// How a scheduled run ended: normally, with the full report, or stalled
-/// with every remaining process blocked — the structured form of the
-/// deadlock [`run_activity_with_faults`] flattens into an error string.
-/// `flagsim verify` needs the wait-for graph itself, not its rendering.
+/// How a run ended: normally, with the full report, or stalled with
+/// every remaining process blocked. `flagsim verify` needs the wait-for
+/// graph itself, not its rendering; batch drivers flatten a stall into an
+/// error with [`ActivityOutcome::into_report`].
 #[derive(Debug)]
 pub enum ActivityOutcome {
     /// The run drained (or the bell cut it off) and produced a report.
@@ -318,18 +274,39 @@ pub enum ActivityOutcome {
     Stalled(WaitForGraph),
 }
 
-/// [`run_activity_with_faults`] with an optional [`SchedulePolicy`]
-/// threaded through to the engine, and with deadlock surfaced
-/// structurally instead of as an error string. This is the entry point
-/// schedule-space exploration drives: a [`ForcedSchedule`]
-/// (`flagsim_desim::ForcedSchedule`) policy replays one concrete
-/// resolution of every scheduling tie, and a stall under some resolution
-/// is a *result* (a reachable deadlock), not a failure.
+impl ActivityOutcome {
+    /// The report of a completed run; a stall becomes the
+    /// `simulation failed: …` error a batch driver records and moves past.
+    pub fn into_report(self) -> Result<RunReport, String> {
+        match self {
+            ActivityOutcome::Completed(report) => Ok(*report),
+            ActivityOutcome::Stalled(waiters) => Err(format!(
+                "simulation failed: {}",
+                SimError::Stalled { waiters }
+            )),
+        }
+    }
+}
+
+/// Run the activity: `assignments[i]` is the cell list for `team[i]`.
 ///
-/// With `policy: None` the engine behaves exactly as in
-/// [`run_activity_with_faults`].
+/// The `team` profiles are mutated — their warm-up experience advances, so
+/// running scenario 1 twice with the same team reproduces the paper's
+/// "second run is significantly better" observation.
+///
+/// `plan` injects faults: the run survives every planned mishap (or
+/// aborts cleanly, per the plan's policy) and attaches a
+/// [`ResilienceReport`] to the report whenever the plan is non-empty.
+/// `policy` resolves the engine's scheduling ties; `None` is the engine's
+/// own order, and a [`ForcedSchedule`](flagsim_desim::ForcedSchedule)
+/// replays one concrete resolution — the unit of schedule-space
+/// exploration, where a stall is a *result* (a reachable deadlock).
+///
+/// Errors if the kit is missing or has dead implements for a needed color
+/// (the §IV dry-run would have caught it), if assignments don't match
+/// the team, or if the plan names students the team doesn't have.
 #[allow(clippy::too_many_arguments)]
-pub fn run_activity_scheduled(
+pub fn run_activity(
     label: impl Into<String>,
     flag: &PreparedFlag,
     assignments: &[Vec<WorkItem>],
@@ -692,17 +669,32 @@ mod tests {
         TeamKit::uniform(ImplementKind::ThickMarker, &Color::MAURITIUS)
     }
 
+    /// One run in the engine's own tie order, a stall flattened into an
+    /// error the way batch drivers see it.
+    fn run_once(
+        label: &str,
+        flag: &PreparedFlag,
+        assignments: &[Vec<WorkItem>],
+        team: &mut [StudentProfile],
+        kit: &TeamKit,
+        config: &ActivityConfig,
+        plan: &FaultPlan,
+    ) -> Result<RunReport, String> {
+        run_activity(label, flag, assignments, team, kit, config, plan, None)?.into_report()
+    }
+
     fn run_scenario(strategy: PartitionStrategy, n: usize, seed: u64) -> RunReport {
         let pf = PreparedFlag::new(&library::mauritius());
         let assignments = strategy.assignments(&pf, CellOrder::RowMajor, &[]);
         let mut t = team(n);
-        run_activity(
+        run_once(
             "test",
             &pf,
             &assignments,
             &mut t,
             &kit(),
             &ActivityConfig::default().with_seed(seed),
+            &FaultPlan::none(),
         )
         .unwrap()
     }
@@ -716,7 +708,7 @@ mod tests {
         let pf = PreparedFlag::new(&library::mauritius());
         let assignments = strategy.assignments(&pf, CellOrder::RowMajor, &[]);
         let mut t = team(n);
-        run_activity_with_faults(
+        run_once(
             "faulted",
             &pf,
             &assignments,
@@ -793,13 +785,14 @@ mod tests {
                 condition: Condition::Dead,
             },
         );
-        let err = run_activity(
+        let err = run_once(
             "test",
             &pf,
             &assignments,
             &mut t,
             &bad_kit,
             &ActivityConfig::default(),
+            &FaultPlan::none(),
         )
         .unwrap_err();
         assert!(err.contains("dead"));
@@ -811,13 +804,14 @@ mod tests {
         let assignments =
             PartitionStrategy::HorizontalBands(4).assignments(&pf, CellOrder::RowMajor, &[]);
         let mut t = team(2);
-        assert!(run_activity(
+        assert!(run_once(
             "test",
             &pf,
             &assignments,
             &mut t,
             &kit(),
-            &ActivityConfig::default()
+            &ActivityConfig::default(),
+            &FaultPlan::none(),
         )
         .is_err());
     }
@@ -828,8 +822,9 @@ mod tests {
         let assignments = PartitionStrategy::Solo.assignments(&pf, CellOrder::RowMajor, &[]);
         let mut t = vec![StudentProfile::new("P1")]; // with warm-up
         let cfg = ActivityConfig::default();
-        let first = run_activity("run 1", &pf, &assignments, &mut t, &kit(), &cfg).unwrap();
-        let second = run_activity("run 2", &pf, &assignments, &mut t, &kit(), &cfg).unwrap();
+        let none = FaultPlan::none();
+        let first = run_once("run 1", &pf, &assignments, &mut t, &kit(), &cfg, &none).unwrap();
+        let second = run_once("run 2", &pf, &assignments, &mut t, &kit(), &cfg, &none).unwrap();
         assert!(
             second.completion.as_secs_f64() < first.completion.as_secs_f64() * 0.95,
             "second run {} should beat first {}",
@@ -845,13 +840,14 @@ mod tests {
             PartitionStrategy::VerticalSlices(4).assignments(&pf, CellOrder::RowMajor, &[]);
         let run = |policy| {
             let mut t = team(4);
-            run_activity(
+            run_once(
                 "p",
                 &pf,
                 &assignments,
                 &mut t,
                 &kit(),
                 &ActivityConfig::default().with_policy(policy),
+                &FaultPlan::none(),
             )
             .unwrap()
         };
@@ -867,13 +863,14 @@ mod tests {
             PartitionStrategy::VerticalSlices(4).assignments(&pf, CellOrder::RowMajor, &[]);
         let run_with = |kit: TeamKit| {
             let mut t = team(4);
-            run_activity(
+            run_once(
                 "kit sweep",
                 &pf,
                 &assignments,
                 &mut t,
                 &kit,
                 &ActivityConfig::default(),
+                &FaultPlan::none(),
             )
             .unwrap()
         };
@@ -895,13 +892,14 @@ mod tests {
         let assignments = PartitionStrategy::Solo.assignments(&pf, CellOrder::RowMajor, &[]);
         // A full solo run takes ~190s without warm-up; ring the bell at 60.
         let mut t = team(1);
-        let cut = run_activity(
+        let cut = run_once(
             "bell",
             &pf,
             &assignments,
             &mut t,
             &kit(),
             &ActivityConfig::default().with_deadline_secs(60.0),
+            &FaultPlan::none(),
         )
         .unwrap();
         assert!(!cut.correct, "incomplete flag cannot be correct");
@@ -915,13 +913,14 @@ mod tests {
         }
         // A generous deadline changes nothing.
         let mut t2 = team(1);
-        let full = run_activity(
+        let full = run_once(
             "no bell",
             &pf,
             &assignments,
             &mut t2,
             &kit(),
             &ActivityConfig::default().with_deadline_secs(100_000.0),
+            &FaultPlan::none(),
         )
         .unwrap();
         assert!(full.correct);
@@ -934,13 +933,14 @@ mod tests {
         let assignments = PartitionStrategy::Solo.assignments(&pf, CellOrder::RowMajor, &[]);
         let run_with = |kind: ImplementKind| {
             let mut t = team(1);
-            run_activity(
+            run_once(
                 "breakage",
                 &pf,
                 &assignments,
                 &mut t,
                 &TeamKit::uniform(kind, &Color::MAURITIUS),
                 &ActivityConfig::default().with_seed(5),
+                &FaultPlan::none(),
             )
             .unwrap()
         };
@@ -958,13 +958,14 @@ mod tests {
         let a = PartitionStrategy::HorizontalBands(4).assignments(&pf, CellOrder::RowMajor, &[]);
         let rebalanced = rebalance_dropout(&a, 1, 6);
         let mut t = team(4);
-        let r = run_activity(
+        let r = run_once(
             "dropout",
             &pf,
             &rebalanced,
             &mut t,
             &kit(),
             &ActivityConfig::default(),
+            &FaultPlan::none(),
         )
         .unwrap();
         assert!(r.correct);
@@ -982,13 +983,14 @@ mod tests {
             ImplementKind::ThickMarker,
             &[Color::Black, Color::Green, Color::Red],
         );
-        let r = run_activity(
+        let r = run_once(
             "jordan no white",
             &pf,
             &assignments,
             &mut t,
             &jk,
             &ActivityConfig::default().skipping(&skip),
+            &FaultPlan::none(),
         )
         .unwrap();
         assert!(r.correct);
@@ -1074,17 +1076,18 @@ mod tests {
         let pf = PreparedFlag::new(&library::mauritius());
         let assignments = PartitionStrategy::Solo.assignments(&pf, CellOrder::RowMajor, &[]);
         let mut t1 = team(1);
-        let via_config = run_activity(
+        let via_config = run_once(
             "config bell",
             &pf,
             &assignments,
             &mut t1,
             &kit(),
             &ActivityConfig::default().with_deadline_secs(60.0),
+            &FaultPlan::none(),
         )
         .unwrap();
         let mut t2 = team(1);
-        let via_fault = run_activity_with_faults(
+        let via_fault = run_once(
             "fault bell",
             &pf,
             &assignments,
@@ -1172,7 +1175,7 @@ mod tests {
         let pf = PreparedFlag::new(&library::mauritius());
         let assignments = PartitionStrategy::Solo.assignments(&pf, CellOrder::RowMajor, &[]);
         let mut t = team(1);
-        let err = run_activity_with_faults(
+        let err = run_once(
             "bad",
             &pf,
             &assignments,

@@ -4,7 +4,7 @@ use crate::config::{ActivityConfig, TeamKit};
 use crate::faults::FaultPlan;
 use crate::partition::{verify_assignments, CellOrder, PartitionStrategy};
 use crate::report::RunReport;
-use crate::run::{run_activity_scheduled, run_activity_with_faults, ActivityOutcome};
+use crate::run::{run_activity, ActivityOutcome};
 use crate::work::PreparedFlag;
 use flagsim_agents::StudentProfile;
 use flagsim_desim::SchedulePolicy;
@@ -108,6 +108,21 @@ impl Scenario {
         )
     }
 
+    /// The built-in scenario a command-line token names: `1`–`4` (Fig. 1),
+    /// `onestripe` (= 3), `fourslice` (= 4), `pipelined` or `alternating`.
+    /// The CLI and shard job specs share this one vocabulary.
+    pub fn builtin(token: &str, flag: &PreparedFlag) -> Option<Scenario> {
+        Some(match token {
+            "1" => Scenario::fig1(1),
+            "2" => Scenario::fig1(2),
+            "3" | "onestripe" => Scenario::fig1(3),
+            "4" | "fourslice" => Scenario::fig1(4),
+            "pipelined" => Scenario::pipelined_slices(flag, 4, 4),
+            "alternating" => Scenario::alternating_slices(),
+            _ => return None,
+        })
+    }
+
     /// How many coloring students this scenario needs (the paper's teams
     /// of five include a timer we don't simulate).
     pub fn team_size(&self, flag: &PreparedFlag, config: &ActivityConfig) -> usize {
@@ -119,7 +134,9 @@ impl Scenario {
 
     /// Run this scenario with the given team (the first
     /// [`Scenario::team_size`] students color; extras sit out, like the
-    /// timer). Assignments are verified before the run.
+    /// timer). Assignments are verified before the run; a stall comes
+    /// back as an error. The one-shot form of [`Scenario::compile`] plus
+    /// [`CompiledScenario::run_scheduled`].
     pub fn run(
         &self,
         flag: &PreparedFlag,
@@ -127,21 +144,9 @@ impl Scenario {
         kit: &TeamKit,
         config: &ActivityConfig,
     ) -> Result<RunReport, String> {
-        self.run_with_faults(flag, team, kit, config, &FaultPlan::none())
-    }
-
-    /// [`Scenario::run`] under an injected [`FaultPlan`] — the fault drill
-    /// version of the activity. The returned report carries a
-    /// [`crate::faults::ResilienceReport`] when the plan is non-empty.
-    pub fn run_with_faults(
-        &self,
-        flag: &PreparedFlag,
-        team: &mut [StudentProfile],
-        kit: &TeamKit,
-        config: &ActivityConfig,
-        plan: &FaultPlan,
-    ) -> Result<RunReport, String> {
-        self.compile(flag, config)?.run_with_faults(team, kit, config, plan)
+        self.compile(flag, config)?
+            .run_scheduled(team, kit, config, &FaultPlan::none(), None)?
+            .into_report()
     }
 
     /// Partition the flag and verify the assignments once, for reuse
@@ -191,39 +196,12 @@ impl CompiledScenario {
         &self.flag
     }
 
-    /// Run the compiled partition with a team. Same contract as
-    /// [`Scenario::run_with_faults`], minus the per-call partition and
-    /// verification work.
-    pub fn run_with_faults(
-        &self,
-        team: &mut [StudentProfile],
-        kit: &TeamKit,
-        config: &ActivityConfig,
-        plan: &FaultPlan,
-    ) -> Result<RunReport, String> {
-        let needed = self.assignments.len();
-        if team.len() < needed {
-            return Err(format!(
-                "{} needs {needed} coloring students, team has {}",
-                self.name,
-                team.len()
-            ));
-        }
-        run_activity_with_faults(
-            self.name.clone(),
-            &self.flag,
-            &self.assignments,
-            &mut team[..needed],
-            kit,
-            config,
-            plan,
-        )
-    }
-
-    /// Run the compiled partition under a forced (or otherwise custom)
-    /// [`SchedulePolicy`], surfacing a stall as a structured
-    /// [`ActivityOutcome`] — the per-schedule unit of `flagsim verify`'s
-    /// exploration. See [`run_activity_scheduled`].
+    /// Run the compiled partition with a team (its first
+    /// [`CompiledScenario::parts`] students color) under `plan`, minus the
+    /// per-call partition and verification work. `policy` forces the
+    /// engine's tie order — the per-schedule unit of `flagsim verify`'s
+    /// exploration — and `None` keeps the engine's own. See
+    /// [`run_activity`].
     pub fn run_scheduled(
         &self,
         team: &mut [StudentProfile],
@@ -240,7 +218,7 @@ impl CompiledScenario {
                 team.len()
             ));
         }
-        run_activity_scheduled(
+        run_activity(
             self.name.clone(),
             &self.flag,
             &self.assignments,

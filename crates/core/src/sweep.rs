@@ -5,16 +5,15 @@
 //! fresh teams. This module is that harness, public: give it a scenario
 //! and a configuration, get summary statistics and the raw reports.
 //!
-//! The engine behind every entry point is [`SweepRunner`], which fans
-//! repetitions across worker threads (`std::thread::scope` — the
-//! workspace is offline, no rayon) while keeping the results
-//! *bit-for-bit deterministic*: each repetition derives its seed from
-//! `config.seed` and its index exactly as the serial loop always has,
-//! workers pull indices from a shared counter, and a reorder buffer
-//! merges outcomes back in repetition order before any statistic is
-//! touched. `par_sweep` with any job count therefore produces a
-//! [`SweepResult`] identical to the serial [`try_sweep`] for the same
-//! configuration.
+//! The harness is [`SweepRunner`], which fans repetitions across worker
+//! threads (`std::thread::scope` — the workspace is offline, no rayon)
+//! while keeping the results *bit-for-bit deterministic*: each
+//! repetition derives its seed from `config.seed` and its index exactly
+//! as the serial loop always has, workers pull indices from a shared
+//! counter, and a reorder buffer merges outcomes back in repetition
+//! order before any statistic is touched. Any job count therefore
+//! produces a [`SweepResult`] identical to the serial sweep's for the
+//! same configuration.
 //!
 //! For huge campaigns, [`SweepRunner::retain_reports`]`(false)` drops
 //! each [`RunReport`] after extracting its two metrics and accumulates
@@ -47,7 +46,7 @@ pub enum SweepError {
     /// Zero repetitions were requested.
     NoRepetitions,
     /// Every repetition failed; the first failure is carried for the
-    /// error message and the panicking [`sweep`] wrapper.
+    /// error message.
     AllFailed {
         /// How many repetitions were attempted.
         reps: u64,
@@ -82,9 +81,9 @@ pub struct SweepResult {
     /// ran with [`SweepRunner::retain_reports`]`(false)` — the
     /// statistics above still cover every successful repetition.
     pub reports: Vec<RunReport>,
-    /// Repetitions that failed (always empty from the panicking
-    /// [`sweep`]; [`try_sweep`] records them and keeps going), in
-    /// repetition order.
+    /// Repetitions that failed, in repetition order: a failed run is
+    /// recorded and the sweep keeps going, so one bad seed cannot sink a
+    /// whole measurement campaign.
     pub failures: Vec<SweepFailure>,
 }
 
@@ -116,8 +115,8 @@ pub struct SweepProgress {
 
 type ProgressFn<'a> = dyn Fn(SweepProgress) + Send + Sync + 'a;
 
-/// The sweep engine: a builder over everything [`try_sweep`] takes,
-/// plus the parallel/streaming/observability knobs.
+/// The sweep engine: a builder over the scenario, flag, kit and config,
+/// plus the fault-plan, parallel, streaming and observability knobs.
 ///
 /// ```no_run
 /// # use flagsim_core::sweep::SweepRunner;
@@ -304,7 +303,9 @@ impl<'a> SweepRunner<'a> {
             // waste; accounting is bit-identical with the sink off.
             cfg.trace_events = false;
         }
-        compiled.run_with_faults(&mut team, self.kit, &cfg, &self.plan)
+        compiled
+            .run_scheduled(&mut team, self.kit, &cfg, &self.plan, None)?
+            .into_report()
     }
 
     /// Fan repetitions across `jobs` scoped worker threads. Workers pull
@@ -492,106 +493,6 @@ impl Collector {
     }
 }
 
-/// The one formatted panic every [`sweep`] failure routes through.
-fn fail_sweep(f: &SweepFailure) -> ! {
-    std::panic::panic_any(format!("sweep run failed: rep {}: {}", f.rep, f.error))
-}
-
-/// Run `scenario` `reps` times, each with a fresh team of `team_size`
-/// students (warm-up enabled or not) and a seed derived from
-/// `config.seed` and the repetition index. Panics if any run fails or
-/// produces a wrong flag — a sweep is a measurement, not a fault drill.
-/// Every failed-run panic carries the documented
-/// `"sweep run failed: rep N: ..."` message, whether one repetition
-/// failed or all of them did.
-pub fn sweep(
-    scenario: &Scenario,
-    flag: &PreparedFlag,
-    kit: &TeamKit,
-    config: &ActivityConfig,
-    team_size: usize,
-    warmup: bool,
-    reps: u64,
-) -> SweepResult {
-    let result = SweepRunner::new(scenario, flag, kit, config)
-        .team_size(team_size)
-        .warmup(warmup)
-        .reps(reps)
-        .run();
-    match result {
-        Ok(result) => {
-            if let Some(f) = result.failures.first() {
-                // Preserve the historical contract: a measurement sweep
-                // panics on the first failed repetition instead of
-                // soldiering on.
-                fail_sweep(f);
-            }
-            assert!(
-                result
-                    .reports
-                    .iter()
-                    .all(|r| r.correct || config.deadline_secs.is_some()),
-                "sweep produced a wrong flag"
-            );
-            result
-        }
-        Err(SweepError::AllFailed { first, .. }) => fail_sweep(&first),
-        Err(e @ SweepError::NoRepetitions) => std::panic::panic_any(e.to_string()),
-    }
-}
-
-/// Fault-tolerant sweep: run `scenario` `reps` times under `plan`,
-/// recording failed repetitions in [`SweepResult::failures`] instead of
-/// panicking, so one bad seed cannot sink a whole measurement campaign.
-///
-/// Errors only when no statistics can be produced at all: zero
-/// repetitions requested, or every repetition failed.
-#[allow(clippy::too_many_arguments)]
-pub fn try_sweep(
-    scenario: &Scenario,
-    flag: &PreparedFlag,
-    kit: &TeamKit,
-    config: &ActivityConfig,
-    team_size: usize,
-    warmup: bool,
-    reps: u64,
-    plan: &FaultPlan,
-) -> Result<SweepResult, String> {
-    SweepRunner::new(scenario, flag, kit, config)
-        .team_size(team_size)
-        .warmup(warmup)
-        .reps(reps)
-        .plan(plan)
-        .run()
-        .map_err(|e| e.to_string())
-}
-
-/// [`try_sweep`] fanned across `jobs` worker threads. Seeds, merge
-/// order, and therefore the returned [`SweepResult`] are identical to
-/// the serial sweep for the same configuration — the job count buys
-/// wall-clock time, never different numbers.
-#[allow(clippy::too_many_arguments)]
-pub fn par_sweep(
-    scenario: &Scenario,
-    flag: &PreparedFlag,
-    kit: &TeamKit,
-    config: &ActivityConfig,
-    team_size: usize,
-    warmup: bool,
-    reps: u64,
-    plan: &FaultPlan,
-    jobs: usize,
-) -> Result<SweepResult, String> {
-    SweepRunner::new(scenario, flag, kit, config)
-        .team_size(team_size)
-        .warmup(warmup)
-        .reps(reps)
-        .plan(plan)
-        .jobs(jobs)
-        .run()
-        .map_err(|e| e.to_string())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -605,12 +506,32 @@ mod tests {
         (flag, kit)
     }
 
+    /// Sweep Fig. 1 scenario `n` on Mauritius with `team` students,
+    /// `reps` repetitions and `jobs` threads under `plan`, reports kept.
+    fn fig1_sweep(
+        n: u8,
+        cfg: &ActivityConfig,
+        team: usize,
+        reps: u64,
+        plan: &FaultPlan,
+        jobs: usize,
+    ) -> Result<SweepResult, SweepError> {
+        let (flag, kit) = mauritius_setup();
+        let scenario = Scenario::fig1(n);
+        let runner = SweepRunner::new(&scenario, &flag, &kit, cfg)
+            .team_size(team)
+            .reps(reps)
+            .plan(plan)
+            .jobs(jobs);
+        runner.run()
+    }
+
     #[test]
     fn sweep_statistics_separate_scenarios() {
-        let (flag, kit) = mauritius_setup();
         let cfg = ActivityConfig::default();
-        let s1 = sweep(&Scenario::fig1(1), &flag, &kit, &cfg, 1, false, 16);
-        let s3 = sweep(&Scenario::fig1(3), &flag, &kit, &cfg, 4, false, 16);
+        let none = FaultPlan::none();
+        let s1 = fig1_sweep(1, &cfg, 1, 16, &none, 1).unwrap();
+        let s3 = fig1_sweep(3, &cfg, 4, 16, &none, 1).unwrap();
         assert_eq!(s1.reports.len(), 16);
         assert!(s1.mean_secs() > s3.mean_secs());
         assert!(clearly_different(&s1.completion, &s3.completion));
@@ -619,36 +540,22 @@ mod tests {
 
     #[test]
     fn sweep_is_deterministic() {
-        let (flag, kit) = mauritius_setup();
         let cfg = ActivityConfig::default().with_seed(9);
-        let a = sweep(&Scenario::fig1(4), &flag, &kit, &cfg, 4, false, 8);
-        let b = sweep(&Scenario::fig1(4), &flag, &kit, &cfg, 4, false, 8);
+        let a = fig1_sweep(4, &cfg, 4, 8, &FaultPlan::none(), 1).unwrap();
+        let b = fig1_sweep(4, &cfg, 4, 8, &FaultPlan::none(), 1).unwrap();
         assert_eq!(a.completion, b.completion);
         assert_eq!(a.waiting, b.waiting);
     }
 
     #[test]
-    fn par_sweep_matches_serial_bit_for_bit() {
-        // Acceptance: par_sweep with 4 jobs produces RunStats equal to
-        // the serial sweep for the same seed.
-        let (flag, kit) = mauritius_setup();
+    fn parallel_sweep_matches_serial_bit_for_bit() {
+        // Acceptance: a parallel sweep produces RunStats equal to the
+        // serial sweep for the same seed.
         let cfg = ActivityConfig::default().with_seed(41);
         let plan = FaultPlan::none();
-        let serial =
-            try_sweep(&Scenario::fig1(4), &flag, &kit, &cfg, 4, false, 24, &plan).unwrap();
+        let serial = fig1_sweep(4, &cfg, 4, 24, &plan, 1).unwrap();
         for jobs in [2, 4, 7] {
-            let par = par_sweep(
-                &Scenario::fig1(4),
-                &flag,
-                &kit,
-                &cfg,
-                4,
-                false,
-                24,
-                &plan,
-                jobs,
-            )
-            .unwrap();
+            let par = fig1_sweep(4, &cfg, 4, 24, &plan, jobs).unwrap();
             assert_eq!(par.completion, serial.completion, "jobs={jobs}");
             assert_eq!(par.waiting, serial.waiting, "jobs={jobs}");
             assert_eq!(par.reports.len(), serial.reports.len());
@@ -721,12 +628,10 @@ mod tests {
         // plan completes every run with a ResilienceReport and zero
         // panics or lost repetitions.
         use flagsim_grid::Color;
-        let (flag, kit) = mauritius_setup();
         let cfg = ActivityConfig::default().with_seed(7);
-        let plan = crate::faults::FaultPlan::new("break one implement")
-            .break_implement(Color::Blue, 15.0);
-        let result = try_sweep(&Scenario::fig1(4), &flag, &kit, &cfg, 4, false, 32, &plan)
-            .expect("faulted sweep must produce statistics");
+        let plan = FaultPlan::new("break one implement").break_implement(Color::Blue, 15.0);
+        let result =
+            fig1_sweep(4, &cfg, 4, 32, &plan, 1).expect("faulted sweep must produce statistics");
         assert_eq!(result.reports.len(), 32);
         assert!(result.failures.is_empty(), "{:?}", result.failures);
         for r in &result.reports {
@@ -747,24 +652,10 @@ mod tests {
         // Acceptance: the fault drill through the parallel path keeps
         // every repetition and matches the serial fault drill exactly.
         use flagsim_grid::Color;
-        let (flag, kit) = mauritius_setup();
         let cfg = ActivityConfig::default().with_seed(7);
-        let plan = crate::faults::FaultPlan::new("break one implement")
-            .break_implement(Color::Blue, 15.0);
-        let serial =
-            try_sweep(&Scenario::fig1(4), &flag, &kit, &cfg, 4, false, 32, &plan).unwrap();
-        let par = par_sweep(
-            &Scenario::fig1(4),
-            &flag,
-            &kit,
-            &cfg,
-            4,
-            false,
-            32,
-            &plan,
-            4,
-        )
-        .unwrap();
+        let plan = FaultPlan::new("break one implement").break_implement(Color::Blue, 15.0);
+        let serial = fig1_sweep(4, &cfg, 4, 32, &plan, 1).unwrap();
+        let par = fig1_sweep(4, &cfg, 4, 32, &plan, 4).unwrap();
         assert_eq!(par.reports.len(), 32, "no repetition lost");
         assert!(par.failures.is_empty(), "{:?}", par.failures);
         assert_eq!(par.completion, serial.completion);
@@ -776,71 +667,20 @@ mod tests {
     }
 
     #[test]
-    fn try_sweep_zero_reps_is_an_error() {
-        let (flag, kit) = mauritius_setup();
-        let err = try_sweep(
-            &Scenario::fig1(1),
-            &flag,
-            &kit,
-            &ActivityConfig::default(),
-            1,
-            false,
-            0,
-            &crate::faults::FaultPlan::none(),
-        )
-        .unwrap_err();
-        assert!(err.contains("at least one repetition"));
+    fn zero_reps_is_an_error() {
+        let cfg = ActivityConfig::default();
+        let err = fig1_sweep(1, &cfg, 1, 0, &FaultPlan::none(), 1).unwrap_err();
+        assert!(err.to_string().contains("at least one repetition"));
     }
 
     #[test]
-    #[should_panic(expected = "at least one repetition")]
-    fn zero_reps_panics() {
-        let (flag, kit) = mauritius_setup();
-        let _ = sweep(
-            &Scenario::fig1(1),
-            &flag,
-            &kit,
-            &ActivityConfig::default(),
-            1,
-            false,
-            0,
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "sweep run failed: rep 0: scenario 3")]
-    fn all_failed_sweep_panics_with_the_documented_message() {
-        // Regression: sweep() used to hit `.expect("sweep run failed")`
-        // on the all-failed path, panicking with a Debug-formatted
-        // message instead of the documented "sweep run failed: rep N:"
-        // format. A team of 1 can never staff scenario 3's four stripes,
-        // so every repetition fails.
-        let (flag, kit) = mauritius_setup();
-        let _ = sweep(
-            &Scenario::fig1(3),
-            &flag,
-            &kit,
-            &ActivityConfig::default(),
-            1,
-            false,
-            4,
-        );
-    }
-
-    #[test]
-    fn all_failed_try_sweep_reports_the_first_failure() {
-        let (flag, kit) = mauritius_setup();
-        let err = try_sweep(
-            &Scenario::fig1(3),
-            &flag,
-            &kit,
-            &ActivityConfig::default(),
-            1,
-            false,
-            4,
-            &crate::faults::FaultPlan::none(),
-        )
-        .unwrap_err();
+    fn all_failed_sweep_reports_the_first_failure() {
+        // A team of 1 can never staff scenario 3's four stripes, so every
+        // repetition fails.
+        let cfg = ActivityConfig::default();
+        let err = fig1_sweep(3, &cfg, 1, 4, &FaultPlan::none(), 1)
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("all 4 repetitions failed"), "{err}");
         assert!(err.contains("rep 0"), "{err}");
     }

@@ -6,8 +6,8 @@
 use flagsim_agents::{ImplementKind, StudentProfile};
 use flagsim_core::config::{ActivityConfig, ReleasePolicy, TeamKit};
 use flagsim_core::partition::{verify_assignments, CellOrder, PartitionStrategy};
-use flagsim_core::run_activity;
 use flagsim_core::work::PreparedFlag;
+use flagsim_core::{run_activity, ActivityOutcome, FaultPlan};
 use flagsim_flags::library;
 use proptest::prelude::*;
 
@@ -63,7 +63,9 @@ proptest! {
             .collect();
         let kit = TeamKit::uniform(kind, &flag.colors_needed(&[])).with_count_all(markers);
         let cfg = ActivityConfig::default().with_seed(seed).with_policy(policy);
-        let report = run_activity("prop", &flag, &assignments, &mut team, &kit, &cfg)
+        let none = FaultPlan::none();
+        let report = run_activity("prop", &flag, &assignments, &mut team, &kit, &cfg, &none, None)
+            .and_then(ActivityOutcome::into_report)
             .expect("run succeeds");
         prop_assert!(report.correct, "{} with {strategy:?}", spec.name);
 
@@ -109,7 +111,10 @@ proptest! {
                 &mut team,
                 &kit,
                 &ActivityConfig::default().with_seed(seed),
+                &FaultPlan::none(),
+                None,
             )
+            .and_then(ActivityOutcome::into_report)
             .expect("run succeeds")
         };
         let a = run_once();
@@ -137,7 +142,10 @@ proptest! {
                 &mut team,
                 &kit,
                 &ActivityConfig::default().with_seed(seed),
+                &FaultPlan::none(),
+                None,
             )
+            .and_then(ActivityOutcome::into_report)
             .expect("run succeeds")
             .total_wait_secs()
         };
@@ -173,7 +181,10 @@ proptest! {
             &mut team,
             &kit,
             &ActivityConfig::default().with_seed(seed),
+            &FaultPlan::none(),
+            None,
         )
+        .and_then(ActivityOutcome::into_report)
         .expect("run succeeds");
         prop_assert!(r.correct);
     }

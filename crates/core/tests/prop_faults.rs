@@ -7,10 +7,25 @@ use flagsim_agents::{ImplementKind, StudentProfile};
 use flagsim_core::config::{ActivityConfig, TeamKit};
 use flagsim_core::faults::{FaultEvent, FaultPlan, RecoveryPolicy};
 use flagsim_core::partition::{CellOrder, PartitionStrategy};
-use flagsim_core::run::{run_activity, run_activity_with_faults};
-use flagsim_core::work::PreparedFlag;
+use flagsim_core::report::RunReport;
+use flagsim_core::run::run_activity;
+use flagsim_core::work::{PreparedFlag, WorkItem};
 use flagsim_flags::library;
 use proptest::prelude::*;
+
+/// One run in the engine's own tie order, a stall flattened into an
+/// error the way batch drivers see it.
+fn run(
+    label: &str,
+    flag: &PreparedFlag,
+    assignments: &[Vec<WorkItem>],
+    team: &mut [StudentProfile],
+    kit: &TeamKit,
+    cfg: &ActivityConfig,
+    plan: &FaultPlan,
+) -> Result<RunReport, String> {
+    run_activity(label, flag, assignments, team, kit, cfg, plan, None)?.into_report()
+}
 
 fn strategy_strategy() -> impl Strategy<Value = PartitionStrategy> {
     prop_oneof![
@@ -62,7 +77,7 @@ proptest! {
         let mut team = fresh_team(team_size);
         let kit = TeamKit::uniform(ImplementKind::ThickMarker, &colors);
         let cfg = ActivityConfig::default().with_seed(seed);
-        match run_activity_with_faults("prop", &flag, &assignments, &mut team, &kit, &cfg, &plan) {
+        match run("prop", &flag, &assignments, &mut team, &kit, &cfg, &plan) {
             Ok(r) => {
                 let res = r.resilience.as_ref().expect("random plans are non-empty");
                 // Recovery overhead is never negative, an abort only
@@ -129,8 +144,8 @@ proptest! {
         let cfg = ActivityConfig::default().with_seed(seed);
         let mut t1 = fresh_team(assignments.len());
         let mut t2 = fresh_team(assignments.len());
-        let a = run_activity_with_faults("a", &flag, &assignments, &mut t1, &kit, &cfg, &plan);
-        let b = run_activity_with_faults("b", &flag, &assignments, &mut t2, &kit, &cfg, &plan);
+        let a = run("a", &flag, &assignments, &mut t1, &kit, &cfg, &plan);
+        let b = run("b", &flag, &assignments, &mut t2, &kit, &cfg, &plan);
         match (a, b) {
             (Ok(ra), Ok(rb)) => {
                 prop_assert_eq!(ra.completion, rb.completion);
@@ -142,8 +157,9 @@ proptest! {
         }
     }
 
-    /// An empty plan is exactly the fault-free path: same completion,
-    /// same grid, and no resilience report attached.
+    /// An empty plan is exactly the fault-free path, whatever its label
+    /// and policy: same completion, same grid, and no resilience report
+    /// attached.
     #[test]
     fn empty_plan_is_the_identity(
         seed in any::<u64>(),
@@ -157,11 +173,11 @@ proptest! {
         let cfg = ActivityConfig::default().with_seed(seed);
         let mut t1 = fresh_team(assignments.len());
         let mut t2 = fresh_team(assignments.len());
-        let plain = run_activity("x", &flag, &assignments, &mut t1, &kit, &cfg).unwrap();
-        let nofault = run_activity_with_faults(
-            "x", &flag, &assignments, &mut t2, &kit, &cfg, &FaultPlan::none(),
-        )
-        .unwrap();
+        let none = FaultPlan::none();
+        let plain = run("x", &flag, &assignments, &mut t1, &kit, &cfg, &none).unwrap();
+        // Empty whatever its label and policy.
+        let empty = FaultPlan::new("nothing planned").with_policy(RecoveryPolicy::AbortAndReport);
+        let nofault = run("x", &flag, &assignments, &mut t2, &kit, &cfg, &empty).unwrap();
         prop_assert_eq!(plain.completion, nofault.completion);
         prop_assert_eq!(&plain.grid, &nofault.grid);
         prop_assert!(nofault.resilience.is_none());

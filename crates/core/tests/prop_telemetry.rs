@@ -1,13 +1,12 @@
 //! Telemetry properties over real sweeps: the Chrome export must always
 //! be well-formed JSON with balanced, name-matched B/E pairs, and the
-//! canonical span tree must not depend on the worker count — `par_sweep`
-//! at `--jobs 1` and `--jobs 4` records the same logical work.
+//! canonical span tree must not depend on the worker count — a sweep at
+//! `--jobs 1` and `--jobs 4` records the same logical work.
 
 use flagsim_agents::ImplementKind;
 use flagsim_core::config::{ActivityConfig, TeamKit};
-use flagsim_core::faults::FaultPlan;
 use flagsim_core::scenario::Scenario;
-use flagsim_core::sweep::par_sweep;
+use flagsim_core::sweep::SweepRunner;
 use flagsim_core::work::PreparedFlag;
 use flagsim_flags::library;
 use flagsim_telemetry::{json, Collector, SpanSet};
@@ -29,9 +28,12 @@ fn sweep_spans(scenario: &Scenario, seed: u64, reps: u64, jobs: usize) -> SpanSe
     let flag = PreparedFlag::new(&library::mauritius());
     let kit = TeamKit::uniform(ImplementKind::ThickMarker, &flag.colors_needed(&[]));
     let cfg = ActivityConfig::default().with_seed(seed);
-    let plan = FaultPlan::none();
     let collector = Collector::install();
-    let result = par_sweep(scenario, &flag, &kit, &cfg, 4, false, reps, &plan, jobs);
+    let result = SweepRunner::new(scenario, &flag, &kit, &cfg)
+        .team_size(4)
+        .reps(reps)
+        .jobs(jobs)
+        .run();
     let set = collector.finish();
     result.expect("sweep succeeds");
     set

@@ -118,24 +118,11 @@ impl JobSpec {
         }
         let spec = library::by_name(&self.flag)
             .ok_or_else(|| format!("job spec: unknown flag {:?}", self.flag))?;
-        let kind = match self.kind.as_str() {
-            "dauber" => ImplementKind::BingoDauber,
-            "thick" => ImplementKind::ThickMarker,
-            "thin" => ImplementKind::ThinMarker,
-            "crayon" => ImplementKind::Crayon,
-            other => return Err(format!("job spec: unknown implement kind {other:?}")),
-        };
+        let kind = ImplementKind::from_token(&self.kind)
+            .ok_or_else(|| format!("job spec: unknown implement kind {:?}", self.kind))?;
         let flag = PreparedFlag::new(&spec);
-        let scenario = match self.scenario.as_str() {
-            "1" | "2" | "3" | "4" => {
-                Scenario::fig1(self.scenario.parse::<u8>().map_err(|_| "digit scenario")?)
-            }
-            "onestripe" => Scenario::fig1(3),
-            "fourslice" => Scenario::fig1(4),
-            "pipelined" => Scenario::pipelined_slices(&flag, 4, 4),
-            "alternating" => Scenario::alternating_slices(),
-            other => return Err(format!("job spec: unknown scenario {other:?}")),
-        };
+        let scenario = Scenario::builtin(&self.scenario, &flag)
+            .ok_or_else(|| format!("job spec: unknown scenario {:?}", self.scenario))?;
         let kit = TeamKit::uniform(kind, &flag.colors_needed(&[]));
         let config = ActivityConfig::default().with_seed(self.seed);
         Ok(MaterializedJob {

@@ -29,7 +29,7 @@ pub enum RepOutcome {
         /// Total waiting time in seconds.
         waiting: f64,
     },
-    /// The run failed (recorded, like `try_sweep`, not fatal).
+    /// The run failed (recorded, as the in-process sweep does, not fatal).
     Failed {
         /// The error string the run reported.
         error: String,

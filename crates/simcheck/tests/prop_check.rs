@@ -3,9 +3,8 @@
 //! with the runtime stall detector.
 
 use flagsim_agents::{ImplementKind, StudentProfile};
-use flagsim_core::run_activity;
 use flagsim_core::work::PreparedFlag;
-use flagsim_core::{ActivityConfig, Scenario, TeamKit};
+use flagsim_core::{run_activity, ActivityConfig, ActivityOutcome, FaultPlan, Scenario, TeamKit};
 use flagsim_flags::{library, FlagSpec, Layer, Shape};
 use flagsim_grid::{CellId, Color};
 use flagsim_simcheck::{check_run, demo_deadlock_seqs, LockOrderGraph};
@@ -72,7 +71,9 @@ proptest! {
         let kit = TeamKit::uniform(ImplementKind::ThickMarker, &[Color::Red])
             .with_count(Color::Red, 2);
         let cfg = ActivityConfig::default().with_seed(seed);
-        let report = run_activity("shared", &flag, &assignments, &mut team, &kit, &cfg)
+        let none = FaultPlan::none();
+        let report = run_activity("shared", &flag, &assignments, &mut team, &kit, &cfg, &none, None)
+            .and_then(ActivityOutcome::into_report)
             .expect("overlapping assignments still run");
         let hb = check_run(&report);
         prop_assert_eq!(hb.races.len(), 1, "seed {}: {:?}", seed, hb.races);
@@ -97,7 +98,9 @@ proptest! {
             .collect();
         let kit = TeamKit::uniform(ImplementKind::ThickMarker, &[Color::Red]);
         let cfg = ActivityConfig::default().with_seed(seed);
-        let report = run_activity("serialized", &flag, &assignments, &mut team, &kit, &cfg)
+        let none = FaultPlan::none();
+        let report = run_activity("serialized", &flag, &assignments, &mut team, &kit, &cfg, &none, None)
+            .and_then(ActivityOutcome::into_report)
             .expect("run succeeds");
         let hb = check_run(&report);
         prop_assert!(hb.races.is_empty(), "seed {}: {:?}", seed, hb.races);

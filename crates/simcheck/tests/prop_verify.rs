@@ -64,13 +64,50 @@ fn pool_engine(seed: u64) -> Engine {
     eng
 }
 
+/// The pipelined rotation is conflict-free at t=0, not on every seed.
+/// On this seed (`flagsim verify pipelined --seed 13992283459596430383`)
+/// the witnesses agree on three tie resolutions and differ in the
+/// fourth: a later equal-time wake-up or acquire-order grant, not a t=0
+/// conflict and not a deadlock. Both outcome classes complete at the
+/// same makespan but differ in who colored what when.
+#[test]
+fn pipelined_diverges_on_a_late_tie_for_a_known_seed() {
+    let ax = explore_builtin(4, 13_992_283_459_596_430_383);
+    let ex = &ax.exploration;
+    assert!(!ex.truncated);
+    assert_eq!(ex.schedules_run, 2);
+    assert_eq!(ex.outcomes.len(), 2, "{ex:?}");
+    let w = ex.witness.as_ref().expect("witness pair");
+    assert_eq!(w.baseline, [0, 0, 0]);
+    assert_eq!(w.divergent, [0, 0, 0, 1]);
+    for outcome in [&w.baseline_outcome, &w.divergent_outcome] {
+        assert!(
+            matches!(
+                outcome,
+                Outcome::Completed {
+                    makespan_ms: 130_390,
+                    ..
+                }
+            ),
+            "{outcome:?}"
+        );
+    }
+    assert_ne!(w.baseline_outcome.key(), w.divergent_outcome.key());
+    let diags = verify_diags(ex);
+    assert!(diags.iter().any(|d| d.id == "SC410"), "{diags:?}");
+    assert!(diags.iter().all(|d| d.id != "SC411"), "{diags:?}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Scenarios 1–3 and the pipelined rotation give every student a
-    /// disjoint slice of the work at the start: on any seed, full-depth
-    /// exploration proves every tie resolution converges (SC412), and
-    /// the partial-order reduction collapses the space to one schedule.
+    /// disjoint slice of the work at the start, so nothing ties at t=0:
+    /// on almost every seed full-depth exploration proves every tie
+    /// resolution converges (SC412), and the partial-order reduction
+    /// collapses the space to one schedule. A later exact-millisecond
+    /// tie can still split the pipelined rotation on a rare seed (see
+    /// `pipelined_diverges_on_a_late_tie_for_a_known_seed`).
     #[test]
     fn disjoint_builtins_are_schedule_invariant(pick in 0usize..4, seed in any::<u64>()) {
         let ex = explore_builtin([0usize, 1, 2, 4][pick], seed);

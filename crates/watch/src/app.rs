@@ -401,7 +401,10 @@ mod tests {
             &mut team,
             &kit,
             &ActivityConfig::default().with_seed(7),
+            &flagsim_core::FaultPlan::none(),
+            None,
         )
+        .and_then(flagsim_core::ActivityOutcome::into_report)
         .unwrap();
         ReplayData::from_report("scenario 4 on Mauritius", &report, &assignments)
     }

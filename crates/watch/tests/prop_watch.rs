@@ -42,7 +42,10 @@ fn recorded(parts: u32, kind: ImplementKind, seed: u64) -> (RunReport, ReplayDat
         &mut team,
         &kit,
         &ActivityConfig::default().with_seed(seed),
+        &flagsim_core::FaultPlan::none(),
+        None,
     )
+    .and_then(flagsim_core::ActivityOutcome::into_report)
     .expect("mauritius scenario runs");
     let data = ReplayData::from_report("prop", &report, &assignments);
     (report, data)

@@ -3,9 +3,31 @@
 
 use flagsim::core::discussion;
 use flagsim::core::replay::Replay;
-use flagsim::core::sweep::sweep;
 use flagsim::desim::SimTime;
 use flagsim::prelude::*;
+
+/// Sweep `sc` `reps` times with fresh `team`s; every repetition must
+/// succeed and paint the right flag unless a deadline cuts it short.
+fn sweep(
+    sc: &Scenario,
+    flag: &PreparedFlag,
+    kit: &TeamKit,
+    cfg: &ActivityConfig,
+    team: usize,
+    reps: u64,
+) -> flagsim::core::sweep::SweepResult {
+    let result = SweepRunner::new(sc, flag, kit, cfg)
+        .team_size(team)
+        .reps(reps)
+        .run()
+        .expect("sweep produced statistics");
+    assert!(result.failures.is_empty(), "{:?}", result.failures);
+    assert!(result
+        .reports
+        .iter()
+        .all(|r| r.correct || cfg.deadline_secs.is_some()));
+    result
+}
 
 #[test]
 fn sweep_replay_discussion_round_trip() {
@@ -19,7 +41,7 @@ fn sweep_replay_discussion_round_trip() {
     for n in 1..=4u8 {
         let sc = Scenario::fig1(n);
         let size = sc.team_size(&flag, &cfg);
-        let result = sweep(&sc, &flag, &kit, &cfg, size, false, 8);
+        let result = sweep(&sc, &flag, &kit, &cfg, size, 8);
         means.push(result.mean_secs());
         last_runs.push(result.reports.into_iter().next_back().unwrap());
     }
@@ -56,7 +78,7 @@ fn deadline_sweep_reports_partial_progress() {
     let flag = PreparedFlag::new(&library::mauritius());
     let kit = TeamKit::uniform(ImplementKind::ThickMarker, &flag.colors_needed(&[]));
     let cfg = ActivityConfig::default().with_seed(5).with_deadline_secs(50.0);
-    let result = sweep(&Scenario::fig1(1), &flag, &kit, &cfg, 1, false, 4);
+    let result = sweep(&Scenario::fig1(1), &flag, &kit, &cfg, 1, 4);
     for r in &result.reports {
         assert!(!r.correct);
         assert!((r.completion_secs() - 50.0).abs() < 1e-9);
@@ -70,6 +92,6 @@ fn stocked_kit_sweep_is_contention_free_on_slices() {
     let kit = TeamKit::uniform(ImplementKind::ThickMarker, &flag.colors_needed(&[]))
         .with_count_all(4);
     let cfg = ActivityConfig::default();
-    let result = sweep(&Scenario::fig1(4), &flag, &kit, &cfg, 4, false, 8);
+    let result = sweep(&Scenario::fig1(4), &flag, &kit, &cfg, 4, 8);
     assert_eq!(result.waiting.max, 0.0);
 }

@@ -53,7 +53,10 @@ fn simulated_and_threaded_executions_agree_cell_for_cell() {
             &mut t,
             &kit,
             &ActivityConfig::default(),
+            &flagsim::core::FaultPlan::none(),
+            None,
         )
+        .and_then(flagsim::core::ActivityOutcome::into_report)
         .unwrap();
         assert!(sim.correct, "{}", spec.name);
 
