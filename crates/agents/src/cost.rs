@@ -140,6 +140,10 @@ impl CostModel {
     /// `sample_cell_secs` because `f64` multiplication chains evaluate
     /// left to right — `base_skill` is exactly the chain's first two
     /// factors — and the RNG draw order is unchanged.
+    ///
+    /// A student without warm-up (amplitude 0) or fatigue (rate 0) skips
+    /// that factor: it is exactly 1.0 there, and `x * 1.0 == x` bit for
+    /// bit, so the `exp` of an inert warm-up curve is never paid.
     pub fn sample_cell_secs_resolved(
         &mut self,
         student: &mut StudentProfile,
@@ -148,12 +152,14 @@ impl CostModel {
         sigma: f64,
         kind: CellKind,
     ) -> f64 {
-        let secs = base_skill
-            * student.warmup_multiplier()
-            * student.fatigue_multiplier()
-            * fill_factor
-            * kind.multiplier()
-            * self.lognormal(sigma);
+        let mut secs = base_skill;
+        if student.warmup_amplitude != 0.0 {
+            secs *= student.warmup_multiplier();
+        }
+        if student.fatigue_rate != 0.0 {
+            secs *= student.fatigue_multiplier();
+        }
+        let secs = secs * fill_factor * kind.multiplier() * self.lognormal(sigma);
         student.record_cell();
         secs
     }
@@ -342,6 +348,98 @@ mod tests {
             })
             .collect();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn inert_warmup_and_fatigue_skip_bit_identically() {
+        // Amplitude 0 and rate 0 make both factors exactly 1.0, so the
+        // skipping sampler must match the explicit
+        // `warmup_multiplier() * fatigue_multiplier()` chain bit for bit.
+        let imp = Implement::good(ImplementKind::ThickMarker);
+        let fill = FillStyle::Minimal;
+        let mut fast = CostModel::new(77);
+        let mut explicit = CostModel::new(77);
+        let mut s1 = StudentProfile::new("s").without_warmup();
+        let mut s2 = s1.clone();
+        assert_eq!((s1.warmup_amplitude, s1.fatigue_rate), (0.0, 0.0));
+        let sigma = fast.cell_sigma(fill);
+        let fill_factor = fill.work_factor();
+        let base_skill = imp.effective_base_secs() * s1.skill;
+        for i in 0..10_000u32 {
+            let kind = if i % 5 == 0 {
+                CellKind::Boundary
+            } else {
+                CellKind::Interior
+            };
+            let got = fast.sample_cell_secs_resolved(&mut s1, base_skill, fill_factor, sigma, kind);
+            let want = base_skill
+                * s2.warmup_multiplier()
+                * s2.fatigue_multiplier()
+                * fill_factor
+                * kind.multiplier()
+                * explicit.lognormal(sigma);
+            s2.record_cell();
+            assert_eq!(got.to_bits(), want.to_bits(), "draw {i}");
+        }
+    }
+
+    #[test]
+    fn warm_and_tiring_student_durations_are_pinned() {
+        // The first 32 cells of a student with warm-up on and fatigue
+        // from cell 16, seed 2025: recorded before the inert factors were
+        // skipped, so the slow path stays held to those exact values.
+        const PINNED: [u64; 32] = [
+            0x4017055e26e0f08b,
+            0x400eeaa15b26bf8e,
+            0x4009db915d71d973,
+            0x40180c23970a818f,
+            0x400b90b4751b7601,
+            0x400e0b9a86927d77,
+            0x4015b0cd84f6d28a,
+            0x4005ec900ed1656f,
+            0x400ca29a911caa63,
+            0x4012eafc1c16c161,
+            0x4006c9cd9126861a,
+            0x400c914b0e23982a,
+            0x4016822259e4a9bb,
+            0x40085ffcf32223a6,
+            0x40096d0a3e1bb9f8,
+            0x401cce73854c4c98,
+            0x4008b9b07115c49f,
+            0x4005598bf1ad580d,
+            0x40161f6729140699,
+            0x4007f2dd3187cc2e,
+            0x40087df80f84d628,
+            0x40134e9ff86dcbb6,
+            0x400ab6615aaf6119,
+            0x400ba688322ac2dc,
+            0x40136d1a082e9de6,
+            0x40097dd69cb50c2f,
+            0x400714690dc12279,
+            0x401bbf6fd0a224b8,
+            0x400a0df5bf617573,
+            0x400a345efc07e466,
+            0x40125ae7545baa65,
+            0x400eb2d8b843b8f9,
+        ];
+        let imp = Implement::good(ImplementKind::ThickMarker);
+        let mut m = CostModel::new(2025);
+        let mut s = StudentProfile::new("s").with_fatigue(0.01, 16);
+        let sigma = m.cell_sigma(FillStyle::Scribble);
+        let fill_factor = FillStyle::Scribble.work_factor();
+        let base_skill = imp.effective_base_secs() * s.skill;
+        let got: Vec<u64> = (0..32)
+            .map(|i| {
+                let kind = if i % 3 == 0 {
+                    CellKind::Boundary
+                } else {
+                    CellKind::Interior
+                };
+                m.sample_cell_secs_resolved(&mut s, base_skill, fill_factor, sigma, kind)
+                    .to_bits()
+            })
+            .collect();
+        assert_eq!(got, PINNED);
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub use config::{ActivityConfig, ReleasePolicy, TeamKit};
 pub use explain::{explain_report, explain_scenario, Explanation};
 pub use faults::{FaultEvent, FaultPlan, RecoveryPolicy, ResilienceReport};
 pub use partition::{CellOrder, PartitionStrategy};
-pub use report::RunReport;
+pub use report::{RepStats, RunReport};
 pub use run::{run_activity, ActivityOutcome};
 pub use scenario::Scenario;
 pub use work::WorkItem;

@@ -122,7 +122,10 @@ fn ordered_region(rect: geo::Rect, grid_width: u32, order: CellOrder) -> Region 
     }
 }
 
-/// Check that assignments cover every colorable cell exactly once.
+/// Check that assignments cover every colorable cell exactly once, each
+/// in the flag's color, and nothing else: no blank or skipped cell. A run
+/// that completes every list of verified assignments therefore colors
+/// the flag correctly.
 pub fn verify_assignments(
     flag: &PreparedFlag,
     assignments: &[Vec<WorkItem>],
@@ -139,6 +142,12 @@ pub fn verify_assignments(
                 return Err(format!(
                     "part {i}: cell {} assigned color {} but flag wants {}",
                     item.cell, item.color, expected
+                ));
+            }
+            if !item.color.is_painted() || skip.contains(&item.color) {
+                return Err(format!(
+                    "part {i}: cell {} is {}, which nobody colors",
+                    item.cell, item.color
                 ));
             }
         }
@@ -349,6 +358,13 @@ mod tests {
             PartitionStrategy::Solo.assignments(&pf, CellOrder::RowMajor, &[Color::White]);
         assert!(skipped[0].len() < all[0].len());
         verify_assignments(&pf, &skipped, &[Color::White]).unwrap();
+        // Swapping a colorable cell for a skipped one keeps the count
+        // but breaks the cover.
+        let mut swapped = skipped.clone();
+        let white = all[0].iter().find(|it| it.color == Color::White).unwrap();
+        swapped[0][0] = *white;
+        let err = verify_assignments(&pf, &swapped, &[Color::White]).unwrap_err();
+        assert!(err.contains("nobody colors"), "{err}");
     }
 
     #[test]

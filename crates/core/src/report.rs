@@ -35,6 +35,18 @@ pub struct ColorContention {
     pub stats: ResourceStats,
 }
 
+/// What a streaming sweep keeps of one run: the two swept metrics and
+/// whether the flag came out right.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RepStats {
+    /// Completion time in seconds, as [`RunReport::completion_secs`].
+    pub completion_secs: f64,
+    /// Total waiting in seconds, as [`RunReport::total_wait_secs`].
+    pub wait_secs: f64,
+    /// Whether the grid matches the flag, as [`RunReport::correct`].
+    pub correct: bool,
+}
+
 /// Everything a run produces: the number the timer student reports, plus
 /// the breakdowns the post-activity discussion digs into.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,6 +85,15 @@ impl RunReport {
     /// Completion time in seconds.
     pub fn completion_secs(&self) -> f64 {
         self.completion.as_secs_f64()
+    }
+
+    /// The stats a streaming sweep keeps of this run.
+    pub fn stats(&self) -> RepStats {
+        RepStats {
+            completion_secs: self.completion_secs(),
+            wait_secs: self.total_wait_secs(),
+            correct: self.correct,
+        }
     }
 
     /// Total waiting across the team, in seconds — the contention bill.

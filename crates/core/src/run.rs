@@ -5,6 +5,16 @@
 //! durations are pre-sampled (they depend only on the student's own
 //! history, not on interleaving), so the DES run itself is exact.
 //!
+//! Every run goes through one body, `RunSpec::simulate`, which returns
+//! the engine's accounting. Two post-steps turn that accounting into an
+//! outcome: `RunSpec::report` assembles the full [`RunReport`] (grid
+//! repaint, per-student stats, contention, cell log, resilience), and
+//! `RunSpec::stats` keeps only the [`RepStats`] a streaming sweep
+//! folds. What no rep changes — the colors an assignment set needs,
+//! each cell's color slot, the kit resolved per slot, the student names
+//! — is resolved before the body runs: once per compiled scenario or
+//! sweep, or once per call for a one-off [`run_activity`].
+//!
 //! Fault injection (the `plan` argument of [`run_activity`]) threads a
 //! shared [`faults::FaultPlan`] through the same state machine: students
 //! consult the live fault state at every poll, so dropouts leave at their
@@ -12,23 +22,28 @@
 //! use them, and orphaned cells sit in a shared pool that survivors adopt
 //! after finishing their own work. Orphaned cells keep their pre-sampled
 //! durations — the adopting survivor colors at the dropout's pace — a
-//! deliberate simplification that keeps the DES exact.
+//! deliberate simplification that keeps the DES exact. A run with no
+//! faults and no bell has no live state at all: its students never touch
+//! it, and every cell they start, they finish.
+//!
+//! [`faults::FaultPlan`]: crate::faults::FaultPlan
 
 use crate::config::{ActivityConfig, ReleasePolicy, TeamKit};
 use crate::faults::{
     FaultEvent, FaultPlan, Incident, RecoveryAction, ResilienceReport,
 };
-use crate::report::{ColorContention, RunReport, StudentStats};
+use crate::report::{ColorContention, RepStats, RunReport, StudentStats};
 use crate::work::{PreparedFlag, WorkItem};
 use flagsim_agents::{CostModel, Implement, StudentProfile};
 use flagsim_desim::{
-    Action, Engine, Process, ResourceId, SchedulePolicy, SimDuration, SimError, SimTime,
+    Action, Engine, Process, ResourceId, SchedulePolicy, SimDuration, SimError, SimTime, Trace,
     WaitForGraph,
 };
 use flagsim_grid::{Color, Grid};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Seconds to fetch a replacement when an implement breaks mid-cell.
 const REPLACEMENT_DELAY_SECS: f64 = 12.0;
@@ -55,8 +70,9 @@ enum UseOutcome {
     Abort,
 }
 
-/// Mutable state shared by every student process during a faulted run:
-/// pending dropouts, broken implements, the orphaned-work pool, and the
+/// Mutable state shared by every student process during a run with
+/// faults or a bell: pending dropouts, broken implements, the
+/// orphaned-work pool, what each student started, and the
 /// incident/action log that becomes the [`ResilienceReport`].
 struct LiveFaultState {
     abort_on_fault: bool,
@@ -69,10 +85,12 @@ struct LiveFaultState {
     incidents: Vec<Incident>,
     actions: Vec<RecoveryAction>,
     time_lost_secs: f64,
-    adopted: Vec<usize>,
-    /// Per student, every cell whose work actually started, in order —
-    /// under rebalancing this is the ground truth for painting the grid.
-    started: Vec<Vec<WorkItem>>,
+    /// Per student, the orphaned cells they adopted, in adoption order.
+    adopted: Vec<Vec<WorkItem>>,
+    /// Per student, how many cells they started. The started cells are
+    /// that prefix of their own list followed by their adopted cells —
+    /// under rebalancing, the ground truth for painting the grid.
+    started: Vec<usize>,
 }
 
 impl LiveFaultState {
@@ -87,8 +105,8 @@ impl LiveFaultState {
             incidents: Vec::new(),
             actions: Vec::new(),
             time_lost_secs: 0.0,
-            adopted: vec![0; team_size],
-            started: vec![Vec::new(); team_size],
+            adopted: vec![Vec::new(); team_size],
+            started: vec![0; team_size],
         }
     }
 
@@ -131,7 +149,7 @@ impl LiveFaultState {
 /// A student as a DES process.
 struct StudentProc {
     idx: usize,
-    name: String,
+    name: Arc<str>,
     items: Vec<TimedItem>,
     policy: ReleasePolicy,
     pos: usize,
@@ -139,7 +157,9 @@ struct StudentProc {
     held: Option<ResourceId>,
     pending: Option<ResourceId>,
     dropped: bool,
-    live: Rc<RefCell<LiveFaultState>>,
+    /// The shared state of a run with faults or a bell; `None` in a plain
+    /// run, whose students then never borrow it.
+    live: Option<Rc<RefCell<LiveFaultState>>>,
 }
 
 impl Process for StudentProc {
@@ -148,8 +168,8 @@ impl Process for StudentProc {
             // Faults first: a global abort, or this student's dropout
             // falling due. Both are noticed at the student's next natural
             // pause — exactly when a real student would look up.
-            if !self.dropped {
-                let mut live = self.live.borrow_mut();
+            if let (Some(live), false) = (&self.live, self.dropped) {
+                let mut live = live.borrow_mut();
                 let dropout_due = live.dropout_at[self.idx].is_some_and(|t| t <= now);
                 if dropout_due {
                     live.dropout_at[self.idx] = None;
@@ -212,10 +232,14 @@ impl Process for StudentProc {
                         Some(item) => item,
                         None => {
                             // Own list done: adopt orphaned work, if any.
-                            let adopted = self.live.borrow_mut().orphans.pop_front();
+                            let adopted = self.live.as_ref().and_then(|live| {
+                                let mut live = live.borrow_mut();
+                                let it = live.orphans.pop_front()?;
+                                live.adopted[self.idx].push(it.work);
+                                Some(it)
+                            });
                             match adopted {
                                 Some(it) => {
-                                    self.live.borrow_mut().adopted[self.idx] += 1;
                                     self.items.push(it);
                                     continue;
                                 }
@@ -231,16 +255,17 @@ impl Process for StudentProc {
                     match self.held {
                         Some(h) if h == item.resource => {
                             // About to color: does the implement still work?
-                            let outcome =
-                                self.live.borrow_mut().use_implement(item.resource, now);
-                            match outcome {
-                                UseOutcome::Abort => continue,
-                                UseOutcome::Ok(swap_delay) => {
-                                    self.step = Step::DidWork;
-                                    self.live.borrow_mut().started[self.idx].push(item.work);
-                                    return Action::Work(item.dur + swap_delay);
+                            let mut swap_delay = SimDuration::ZERO;
+                            if let Some(live) = &self.live {
+                                let mut live = live.borrow_mut();
+                                match live.use_implement(item.resource, now) {
+                                    UseOutcome::Abort => continue,
+                                    UseOutcome::Ok(delay) => swap_delay = delay,
                                 }
+                                live.started[self.idx] += 1;
                             }
+                            self.step = Step::DidWork;
+                            return Action::Work(item.dur + swap_delay);
                         }
                         Some(h) => {
                             self.held = None;
@@ -280,10 +305,547 @@ impl ActivityOutcome {
     pub fn into_report(self) -> Result<RunReport, String> {
         match self {
             ActivityOutcome::Completed(report) => Ok(*report),
-            ActivityOutcome::Stalled(waiters) => Err(format!(
-                "simulation failed: {}",
-                SimError::Stalled { waiters }
-            )),
+            ActivityOutcome::Stalled(waiters) => Err(stall_error(waiters)),
+        }
+    }
+}
+
+/// The error a batch driver records for a stalled run.
+fn stall_error(waiters: WaitForGraph) -> String {
+    format!("simulation failed: {}", SimError::Stalled { waiters })
+}
+
+/// What an assignment set fixes for every run of it: the colors it
+/// needs, sorted, and each cell's slot in that list. A compiled scenario
+/// builds this once; a one-off run builds it per call.
+#[derive(Debug, Clone)]
+pub(crate) struct ColorSlots {
+    needed: Vec<Color>,
+    /// `slots[i][k]` is the slot of `assignments[i][k].color`.
+    slots: Vec<Vec<u32>>,
+}
+
+impl ColorSlots {
+    pub(crate) fn of(assignments: &[Vec<WorkItem>]) -> ColorSlots {
+        let mut needed: Vec<Color> = Vec::new();
+        for part in assignments {
+            for item in part {
+                if !needed.contains(&item.color) {
+                    needed.push(item.color);
+                }
+            }
+        }
+        needed.sort_unstable();
+        let slot = |c: Color| {
+            needed
+                .iter()
+                .position(|&n| n == c)
+                .expect("collected above") as u32
+        };
+        let slots = assignments
+            .iter()
+            .map(|part| part.iter().map(|item| slot(item.color)).collect())
+            .collect();
+        ColorSlots { needed, slots }
+    }
+
+    /// The colors the assignments need, sorted.
+    pub(crate) fn needed(&self) -> &[Color] {
+        &self.needed
+    }
+
+    fn slot_of(&self, color: Color) -> Option<usize> {
+        self.needed.iter().position(|&c| c == color)
+    }
+}
+
+/// A kit resolved slot by slot against an assignment set's colors: the
+/// implement, its base seconds per cell, its stock, and the resource
+/// label. It depends only on the kit and the colors, so a sweep resolves
+/// it once.
+#[derive(Debug, Clone)]
+pub(crate) struct KitSlots {
+    implements: Vec<Implement>,
+    base_secs: Vec<f64>,
+    counts: Vec<usize>,
+    labels: Vec<String>,
+}
+
+impl KitSlots {
+    /// Errors if the kit is missing or has a dead implement for a needed
+    /// color (the §IV dry-run would have caught it).
+    pub(crate) fn resolve(kit: &TeamKit, needed: &[Color]) -> Result<KitSlots, String> {
+        kit.check(needed)?;
+        let implements: Vec<Implement> = needed
+            .iter()
+            .map(|&c| kit.implement(c).expect("checked above"))
+            .collect();
+        Ok(KitSlots {
+            base_secs: implements.iter().map(|i| i.effective_base_secs()).collect(),
+            counts: needed.iter().map(|&c| kit.count(c)).collect(),
+            labels: needed
+                .iter()
+                .zip(&implements)
+                .map(|(c, i)| format!("{c} {}", i.kind))
+                .collect(),
+            implements,
+        })
+    }
+}
+
+/// The inputs of a run that no rep changes, borrowed from a compiled
+/// scenario or built for a one-off run.
+pub(crate) struct RunSpec<'a> {
+    pub(crate) label: &'a str,
+    pub(crate) flag: &'a PreparedFlag,
+    /// `assignments[i]` is the cell list of student `i`.
+    pub(crate) assignments: &'a [Vec<WorkItem>],
+    pub(crate) colors: &'a ColorSlots,
+    /// The kit resolved against `colors`, or why it could not be.
+    pub(crate) kit: &'a Result<KitSlots, String>,
+    /// Student `i`'s name.
+    pub(crate) names: &'a [Arc<str>],
+    /// The skip colors `verify_assignments` checked `assignments`
+    /// against, or `None` for assignments nobody verified.
+    pub(crate) verified_skip: Option<&'a [Color]>,
+}
+
+/// How the one run body ended, before any outcome is built from it.
+pub(crate) enum Ran {
+    /// The run drained, or the bell cut it off.
+    Drained(Accounting),
+    /// Every remaining process is blocked.
+    Stalled(WaitForGraph),
+}
+
+/// The engine's accounting of a drained run.
+pub(crate) struct Accounting {
+    trace: Trace,
+    /// The live state of a run with faults or a bell; `None` otherwise.
+    live: Option<Box<LiveFaultState>>,
+    breakages: u64,
+    deadline_secs: Option<f64>,
+}
+
+impl Accounting {
+    fn completed(&self, student: usize) -> usize {
+        self.trace.procs[student].completed_work as usize
+    }
+}
+
+impl RunSpec<'_> {
+    /// The one run body: sample every cell's duration, build the engine,
+    /// run it, and hand back its accounting. `team` must be exactly as
+    /// long as the assignments; its profiles' warm-up experience
+    /// advances.
+    pub(crate) fn simulate(
+        &self,
+        team: &mut [StudentProfile],
+        config: &ActivityConfig,
+        plan: &FaultPlan,
+        policy: Option<Box<dyn SchedulePolicy>>,
+    ) -> Result<Ran, String> {
+        let _activity_span = flagsim_telemetry::span("sim", "run.activity")
+            .arg("label", self.label)
+            .arg("students", team.len());
+        plan.validate(team.len())?;
+        let kit = self.kit.as_ref().map_err(Clone::clone)?;
+        let colors = self.colors;
+
+        // Ambient faults that shape the run before it starts: the earliest
+        // bell wins over any configured deadline, and fumbles pad the hand-off
+        // latency of their color. Faults naming colors this run never uses
+        // are planned-but-cannot-bite and stay out of the incident log.
+        let mut deadline_secs = config.deadline_secs;
+        let mut fumble_extra = vec![0.0; colors.needed.len()];
+        for e in &plan.events {
+            match e {
+                FaultEvent::DeadlineBell { at_secs } => {
+                    deadline_secs = Some(deadline_secs.map_or(*at_secs, |d| d.min(*at_secs)));
+                }
+                FaultEvent::HandoffFumble { color, extra_secs } => {
+                    if let Some(s) = colors.slot_of(*color) {
+                        fumble_extra[s] += extra_secs;
+                    }
+                }
+                _ => {}
+            }
+        }
+
+        let mut cost = CostModel::with_params(config.seed, config.cost_params.clone());
+
+        // One resource per needed color, in slot order; hand-off latency
+        // sampled per marker. Sizing the engine up front (one slot per
+        // student, one resource per color, ~4 events per cell) keeps the
+        // hot loop free of buffer growth.
+        let total_cells: usize = self.assignments.iter().map(Vec::len).sum();
+        let mut engine = Engine::with_capacity(
+            team.len(),
+            colors.needed.len(),
+            if config.trace_events {
+                total_cells * 4 + team.len() * 2
+            } else {
+                0
+            },
+        );
+        engine.set_trace_events(config.trace_events);
+        let rids: Vec<ResourceId> = (0..colors.needed.len())
+            .map(|s| {
+                let mut handoff_secs = cost.sample_handoff_secs(kit.implements[s]);
+                handoff_secs += fumble_extra[s];
+                engine.add_resource_pool(
+                    kit.labels[s].clone(),
+                    kit.counts[s],
+                    SimDuration::from_secs_f64(handoff_secs),
+                )
+            })
+            .collect();
+
+        // A run with faults or a bell shares live state, primed from the
+        // plan; a plain run has none.
+        let live = (!plan.is_empty() || deadline_secs.is_some())
+            .then(|| Rc::new(RefCell::new(LiveFaultState::new(team.len(), plan))));
+        let mut start_at: Vec<SimTime> = vec![SimTime::ZERO; team.len()];
+        if let Some(live) = &live {
+            let mut st = live.borrow_mut();
+            for e in &plan.events {
+                match e {
+                    FaultEvent::ImplementBreaks { color, at_secs }
+                    | FaultEvent::ImplementDriesOut { color, at_secs } => {
+                        if let Some(s) = colors.slot_of(*color) {
+                            let verb = if matches!(e, FaultEvent::ImplementBreaks { .. }) {
+                                "broke"
+                            } else {
+                                "dried out"
+                            };
+                            st.broken.insert(
+                                rids[s].index(),
+                                (
+                                    SimTime::ZERO + SimDuration::from_secs_f64(*at_secs),
+                                    *color,
+                                    verb,
+                                ),
+                            );
+                        }
+                    }
+                    FaultEvent::Dropout { student, at_secs } => {
+                        st.dropout_at[*student] =
+                            Some(SimTime::ZERO + SimDuration::from_secs_f64(*at_secs));
+                    }
+                    FaultEvent::LateArrival { student, at_secs } => {
+                        let t = SimTime::ZERO + SimDuration::from_secs_f64(*at_secs);
+                        start_at[*student] = start_at[*student].max(t);
+                        if *at_secs > 0.0 {
+                            st.incidents.push(Incident {
+                                at_secs: *at_secs,
+                                what: format!("P{} arrived {at_secs:.1}s late", student + 1),
+                            });
+                        }
+                    }
+                    FaultEvent::HandoffFumble { .. } | FaultEvent::DeadlineBell { .. } => {}
+                }
+            }
+        }
+
+        // Pre-sample durations student-major (deterministic, interleaving-free).
+        // Crayons occasionally break mid-cell (§V: "to avoid breakage"); a
+        // break costs the student a fetch-a-replacement delay on that cell.
+        // The fill-style factors are constant for the run and each slot's
+        // base seconds are resolved with the kit, so the per-cell work is
+        // one multiply by the student's skill plus the draws; the RNG draw
+        // order — and therefore every sampled duration — is unchanged.
+        let fill_factor = config.fill.work_factor();
+        let sigma = cost.cell_sigma(config.fill);
+        let mut breakages: u64 = 0;
+        for (idx, ((student, items), slots)) in team
+            .iter_mut()
+            .zip(self.assignments)
+            .zip(&colors.slots)
+            .enumerate()
+        {
+            let timed: Vec<TimedItem> = items
+                .iter()
+                .zip(slots)
+                .map(|(item, &slot)| {
+                    let s = slot as usize;
+                    let base_skill = kit.base_secs[s] * student.skill;
+                    let mut secs = cost.sample_cell_secs_resolved(
+                        student,
+                        base_skill,
+                        fill_factor,
+                        sigma,
+                        item.kind,
+                    );
+                    if cost.sample_breakage(kit.implements[s]) {
+                        breakages += 1;
+                        secs += REPLACEMENT_DELAY_SECS;
+                    }
+                    TimedItem {
+                        resource: rids[s],
+                        dur: SimDuration::from_secs_f64(secs),
+                        work: *item,
+                    }
+                })
+                .collect();
+            let proc = StudentProc {
+                idx,
+                name: Arc::clone(&self.names[idx]),
+                items: timed,
+                policy: config.policy,
+                pos: 0,
+                step: Step::NeedItem,
+                held: None,
+                pending: None,
+                dropped: false,
+                live: live.clone(),
+            };
+            engine.add_process_at(Box::new(proc), start_at[idx]);
+        }
+        if let Some(policy) = policy {
+            engine.set_schedule_policy(policy);
+        }
+
+        let result = match deadline_secs {
+            Some(secs) => {
+                let deadline = SimTime::ZERO + SimDuration::from_secs_f64(secs);
+                engine.try_run_until(deadline)
+            }
+            None => engine.try_run(),
+        };
+        let trace = match result {
+            Ok(trace) => trace,
+            // A stall is a structured outcome for the verification layer; the
+            // engine (and every process's Rc handle) is already dropped.
+            Err(SimError::Stalled { waiters }) => return Ok(Ran::Stalled(waiters)),
+            Err(e) => return Err(format!("simulation failed: {e}")),
+        };
+
+        // The engine (and every boxed process) is gone; reclaim the state.
+        let live = live
+            .map(|rc| {
+                Rc::try_unwrap(rc)
+                    .map(|state| Box::new(state.into_inner()))
+                    .map_err(|_| "fault state still shared after the run".to_owned())
+            })
+            .transpose()?;
+        flagsim_telemetry::count("run.breakages", breakages);
+        Ok(Ran::Drained(Accounting {
+            trace,
+            live,
+            breakages,
+            deadline_secs,
+        }))
+    }
+
+    /// The full-report post-step: repaint and verify the grid, and
+    /// assemble per-student stats, contention, the cell log and, for a
+    /// faulted run, the resilience report.
+    pub(crate) fn report(
+        &self,
+        ran: Ran,
+        config: &ActivityConfig,
+        plan: &FaultPlan,
+    ) -> ActivityOutcome {
+        let mut acct = match ran {
+            Ran::Drained(acct) => acct,
+            Ran::Stalled(waiters) => return ActivityOutcome::Stalled(waiters),
+        };
+        let cell_log: Vec<Vec<WorkItem>> = (0..self.assignments.len())
+            .map(|i| self.started(&acct, i).copied().collect())
+            .collect();
+        let grid = self.paint(&acct);
+        let correct = self.grid_is_correct(&grid, config);
+        let trace = &acct.trace;
+        let students: Vec<StudentStats> = trace
+            .procs
+            .iter()
+            .zip(self.assignments)
+            .map(|(p, items)| StudentStats {
+                name: p.name.clone(),
+                cells: items.len(),
+                completed: p.completed_work as usize,
+                busy: p.busy,
+                waiting: p.waiting,
+                idle: p.idle(trace.end_time),
+                finished_at: p.finished_at.unwrap_or(trace.end_time),
+            })
+            .collect();
+        // Resources were added in slot order, so resource `s` is slot `s`.
+        let contention: Vec<ColorContention> = self
+            .colors
+            .needed
+            .iter()
+            .zip(&trace.resources)
+            .map(|(&color, r)| ColorContention {
+                color,
+                stats: r.stats.clone(),
+            })
+            .collect();
+        let resilience = acct
+            .live
+            .take()
+            .filter(|_| !plan.is_empty())
+            .map(|state| self.resilience(*state, &acct, plan));
+        ActivityOutcome::Completed(Box::new(RunReport {
+            label: self.label.to_owned(),
+            flag_name: self.flag.name.clone(),
+            completion: acct.trace.makespan(),
+            students,
+            contention,
+            grid,
+            correct,
+            breakages: acct.breakages,
+            resilience,
+            trace: acct.trace,
+            cell_log,
+        }))
+    }
+
+    /// The stats-only post-step. Completion and waiting are read from the
+    /// same accounting the report path reads, in the same order, so they
+    /// are bit-identical to the report's. For verified assignments in a
+    /// run with no faults and no bell, `correct` is "every student
+    /// completed their list": the assignments are an exact cover of the
+    /// colorable cells in the right colors, so that is exactly a correct
+    /// grid. Any other run repaints the grid.
+    pub(crate) fn stats(
+        &self,
+        ran: Ran,
+        config: &ActivityConfig,
+        plan: &FaultPlan,
+    ) -> Result<RepStats, String> {
+        let mut acct = match ran {
+            Ran::Drained(acct) => acct,
+            Ran::Stalled(waiters) => return Err(stall_error(waiters)),
+        };
+        let counted =
+            acct.live.is_none() && self.verified_skip == Some(config.skip_colors.as_slice());
+        let correct = if counted {
+            self.assignments
+                .iter()
+                .enumerate()
+                .all(|(i, items)| acct.completed(i) == items.len())
+        } else {
+            self.grid_is_correct(&self.paint(&acct), config)
+        };
+        let stats = RepStats {
+            completion_secs: acct.trace.makespan().as_secs_f64(),
+            wait_secs: acct
+                .trace
+                .procs
+                .iter()
+                .map(|p| p.waiting.as_secs_f64())
+                .sum(),
+            correct,
+        };
+        // The resilience record is built only to count its faults.
+        if flagsim_telemetry::enabled() && !plan.is_empty() {
+            if let Some(state) = acct.live.take() {
+                self.resilience(*state, &acct, plan);
+            }
+        }
+        Ok(stats)
+    }
+
+    /// Student `i`'s started cells in order: a prefix of their own list,
+    /// then the orphans they adopted. A plain run drains, so every cell a
+    /// student started, they completed.
+    fn started<'s>(&'s self, acct: &'s Accounting, i: usize) -> impl Iterator<Item = &'s WorkItem> {
+        let (adopted, started): (&[WorkItem], usize) = match &acct.live {
+            Some(st) => (&st.adopted[i], st.started[i]),
+            None => (&[], acct.completed(i)),
+        };
+        self.assignments[i].iter().chain(adopted).take(started)
+    }
+
+    /// The grid as colored: each student's completed cells (with a bell,
+    /// in-flight work is lost).
+    fn paint(&self, acct: &Accounting) -> Grid {
+        let mut grid = Grid::new(self.flag.width, self.flag.height);
+        for i in 0..self.assignments.len() {
+            for item in self.started(acct, i).take(acct.completed(i)) {
+                grid.paint(item.cell, item.color);
+            }
+        }
+        grid
+    }
+
+    fn grid_is_correct(&self, grid: &Grid, config: &ActivityConfig) -> bool {
+        grid.iter().all(|(id, got)| {
+            let want = self.flag.reference.get(id);
+            if config.skip_colors.contains(&want) {
+                got == Color::Blank || got == want
+            } else {
+                got == want
+            }
+        })
+    }
+
+    /// Post-run fault accounting: fumbles bite once per observed hand-off,
+    /// the bell bites only if it actually cut the run short, and adopted
+    /// orphans become recovery actions.
+    fn resilience(
+        &self,
+        mut state: LiveFaultState,
+        acct: &Accounting,
+        plan: &FaultPlan,
+    ) -> ResilienceReport {
+        let trace = &acct.trace;
+        for e in &plan.events {
+            if let FaultEvent::HandoffFumble { color, extra_secs } = e {
+                let handoffs = self
+                    .colors
+                    .slot_of(*color)
+                    .map_or(0, |s| trace.resources[s].stats.handoffs);
+                if handoffs > 0 {
+                    state.incidents.push(Incident {
+                        at_secs: 0.0,
+                        what: format!(
+                            "every {color} hand-off fumbled (+{extra_secs:.1}s x {handoffs})"
+                        ),
+                    });
+                    state.time_lost_secs += extra_secs * handoffs as f64;
+                }
+            }
+        }
+        let bell = plan.events.iter().any(|e| {
+            matches!(e, FaultEvent::DeadlineBell { at_secs }
+                if acct.deadline_secs == Some(*at_secs)
+                    && (trace.end_time.as_secs_f64() - at_secs).abs() < 1e-9)
+        });
+        if bell {
+            state.incidents.push(Incident {
+                at_secs: trace.end_time.as_secs_f64(),
+                what: "the bell rang with work unfinished".to_owned(),
+            });
+        }
+        for (i, cells) in state.adopted.iter().enumerate() {
+            if !cells.is_empty() {
+                state.actions.push(RecoveryAction::CellsAdopted {
+                    student: i,
+                    cells: cells.len(),
+                });
+            }
+        }
+        state
+            .incidents
+            .sort_by(|a, b| a.at_secs.total_cmp(&b.at_secs));
+        if flagsim_telemetry::enabled() {
+            flagsim_telemetry::count("faults.incidents", state.incidents.len() as u64);
+            flagsim_telemetry::count("faults.recovery_actions", state.actions.len() as u64);
+            flagsim_telemetry::observe("faults.time_lost_secs", state.time_lost_secs);
+            if state.aborted.is_some() {
+                flagsim_telemetry::count("faults.aborted_runs", 1);
+            }
+        }
+        ResilienceReport {
+            plan_label: plan.label.clone(),
+            policy: plan.policy,
+            faults_planned: plan.events.len(),
+            incidents: state.incidents,
+            actions: state.actions,
+            time_lost_secs: state.time_lost_secs,
+            aborted: state.aborted.is_some(),
         }
     }
 }
@@ -316,10 +878,6 @@ pub fn run_activity(
     plan: &FaultPlan,
     policy: Option<Box<dyn SchedulePolicy>>,
 ) -> Result<ActivityOutcome, String> {
-    let label = label.into();
-    let _activity_span = flagsim_telemetry::span("sim", "run.activity")
-        .arg("label", &label)
-        .arg("students", team.len());
     if assignments.len() != team.len() {
         return Err(format!(
             "{} assignments for {} students",
@@ -327,328 +885,26 @@ pub fn run_activity(
             team.len()
         ));
     }
-    plan.validate(team.len())?;
-
-    // Which colors does this run actually need?
-    let mut needed: Vec<Color> = Vec::new();
-    for part in assignments {
-        for item in part {
-            if !needed.contains(&item.color) {
-                needed.push(item.color);
-            }
-        }
-    }
-    needed.sort_unstable();
-    kit.check(&needed)?;
-
-    // Ambient faults that shape the run before it starts: the earliest
-    // bell wins over any configured deadline, and fumbles pad the hand-off
-    // latency of their color. Faults naming colors this run never uses
-    // are planned-but-cannot-bite and stay out of the incident log.
-    let mut deadline_secs = config.deadline_secs;
-    let mut fumble_extra: BTreeMap<Color, f64> = BTreeMap::new();
-    for e in &plan.events {
-        match e {
-            FaultEvent::DeadlineBell { at_secs } => {
-                deadline_secs = Some(deadline_secs.map_or(*at_secs, |d| d.min(*at_secs)));
-            }
-            FaultEvent::HandoffFumble { color, extra_secs } => {
-                *fumble_extra.entry(*color).or_insert(0.0) += extra_secs;
-            }
-            _ => {}
-        }
-    }
-
-    let mut cost = CostModel::with_params(config.seed, config.cost_params.clone());
-
-    // One resource per needed color; hand-off latency sampled per marker.
-    // Sizing the engine up front (one slot per student, one resource per
-    // color, ~4 events per cell) keeps the hot loop free of buffer growth.
-    let total_cells: usize = assignments.iter().map(Vec::len).sum();
-    let mut engine = Engine::with_capacity(
-        team.len(),
-        needed.len(),
-        if config.trace_events {
-            total_cells * 4 + team.len() * 2
-        } else {
-            0
-        },
-    );
-    engine.set_trace_events(config.trace_events);
-    let mut res_of_color: BTreeMap<Color, ResourceId> = BTreeMap::new();
-    // Per-color tables resolved once per run, in `needed` order: the
-    // implement and resource id the per-cell loop below indexes into
-    // instead of re-querying the kit and color map per cell.
-    let mut color_implements: Vec<Implement> = Vec::with_capacity(needed.len());
-    let mut color_rids: Vec<ResourceId> = Vec::with_capacity(needed.len());
-    for &c in &needed {
-        let implement = kit.implement(c).expect("checked above");
-        let mut handoff_secs = cost.sample_handoff_secs(implement);
-        handoff_secs += fumble_extra.get(&c).copied().unwrap_or(0.0);
-        let rid = engine.add_resource_pool(
-            format!("{c} {}", implement.kind),
-            kit.count(c),
-            SimDuration::from_secs_f64(handoff_secs),
-        );
-        res_of_color.insert(c, rid);
-        color_implements.push(implement);
-        color_rids.push(rid);
-    }
-
-    // The shared live fault state, primed from the plan.
-    let live = Rc::new(RefCell::new(LiveFaultState::new(team.len(), plan)));
-    let mut start_at: Vec<SimTime> = vec![SimTime::ZERO; team.len()];
-    {
-        let mut st = live.borrow_mut();
-        for e in &plan.events {
-            match e {
-                FaultEvent::ImplementBreaks { color, at_secs }
-                | FaultEvent::ImplementDriesOut { color, at_secs } => {
-                    if let Some(rid) = res_of_color.get(color) {
-                        let verb = if matches!(e, FaultEvent::ImplementBreaks { .. }) {
-                            "broke"
-                        } else {
-                            "dried out"
-                        };
-                        st.broken.insert(
-                            rid.index(),
-                            (SimTime::ZERO + SimDuration::from_secs_f64(*at_secs), *color, verb),
-                        );
-                    }
-                }
-                FaultEvent::Dropout { student, at_secs } => {
-                    st.dropout_at[*student] =
-                        Some(SimTime::ZERO + SimDuration::from_secs_f64(*at_secs));
-                }
-                FaultEvent::LateArrival { student, at_secs } => {
-                    let t = SimTime::ZERO + SimDuration::from_secs_f64(*at_secs);
-                    start_at[*student] = start_at[*student].max(t);
-                    if *at_secs > 0.0 {
-                        st.incidents.push(Incident {
-                            at_secs: *at_secs,
-                            what: format!("P{} arrived {at_secs:.1}s late", student + 1),
-                        });
-                    }
-                }
-                FaultEvent::HandoffFumble { .. } | FaultEvent::DeadlineBell { .. } => {}
-            }
-        }
-    }
-
-    // Pre-sample durations student-major (deterministic, interleaving-free).
-    // Crayons occasionally break mid-cell (§V: "to avoid breakage"); a
-    // break costs the student a fetch-a-replacement delay on that cell.
-    // The fill-style factors are constant for the run and the
-    // `base × skill` cost prefix is constant per (student, color), so
-    // both are resolved outside the per-cell loop; the RNG draw order —
-    // and therefore every sampled duration — is unchanged.
-    let fill_factor = config.fill.work_factor();
-    let sigma = cost.cell_sigma(config.fill);
-    let mut breakages: u64 = 0;
-    let mut procs: Vec<StudentProc> = Vec::with_capacity(team.len());
-    for (idx, (student, items)) in team.iter_mut().zip(assignments).enumerate() {
-        let base_skill: Vec<f64> = color_implements
-            .iter()
-            .map(|imp| imp.effective_base_secs() * student.skill)
-            .collect();
-        let timed: Vec<TimedItem> = items
-            .iter()
-            .map(|item| {
-                let ci = needed
-                    .iter()
-                    .position(|&c| c == item.color)
-                    .expect("collected above");
-                let mut secs = cost.sample_cell_secs_resolved(
-                    student,
-                    base_skill[ci],
-                    fill_factor,
-                    sigma,
-                    item.kind,
-                );
-                if cost.sample_breakage(color_implements[ci]) {
-                    breakages += 1;
-                    secs += REPLACEMENT_DELAY_SECS;
-                }
-                TimedItem {
-                    resource: color_rids[ci],
-                    dur: SimDuration::from_secs_f64(secs),
-                    work: *item,
-                }
-            })
-            .collect();
-        procs.push(StudentProc {
-            idx,
-            name: student.name.clone(),
-            items: timed,
-            policy: config.policy,
-            pos: 0,
-            step: Step::NeedItem,
-            held: None,
-            pending: None,
-            dropped: false,
-            live: Rc::clone(&live),
-        });
-    }
-    for (idx, p) in procs.into_iter().enumerate() {
-        engine.add_process_at(Box::new(p), start_at[idx]);
-    }
-    if let Some(policy) = policy {
-        engine.set_schedule_policy(policy);
-    }
-
-    let result = match deadline_secs {
-        Some(secs) => {
-            let deadline = SimTime::ZERO + SimDuration::from_secs_f64(secs);
-            engine.try_run_until(deadline)
-        }
-        None => engine.try_run(),
+    let label = label.into();
+    let colors = ColorSlots::of(assignments);
+    let kit = KitSlots::resolve(kit, &colors.needed);
+    let names = names_of(team);
+    let spec = RunSpec {
+        label: &label,
+        flag,
+        assignments,
+        colors: &colors,
+        kit: &kit,
+        names: &names,
+        verified_skip: None,
     };
-    let trace = match result {
-        Ok(trace) => trace,
-        // A stall is a structured outcome for the verification layer; the
-        // engine (and every process's Rc handle) is already dropped.
-        Err(SimError::Stalled { waiters }) => return Ok(ActivityOutcome::Stalled(waiters)),
-        Err(e) => return Err(format!("simulation failed: {e}")),
-    };
+    let ran = spec.simulate(team, config, plan, policy)?;
+    Ok(spec.report(ran, config, plan))
+}
 
-    // The engine (and every boxed process) is gone; reclaim the log.
-    let mut state = Rc::try_unwrap(live)
-        .map_err(|_| "fault state still shared after the run".to_owned())?
-        .into_inner();
-
-    // Cells each student actually completed, straight from the engine's
-    // per-process counter (with a deadline, in-flight work at the bell is
-    // lost). Every `Work` a student issues is one cell, so the counter
-    // replaces the old O(procs × events) trace scan and — unlike that
-    // scan — also works with the event sink off.
-    let completed: Vec<usize> = trace
-        .procs
-        .iter()
-        .map(|p| p.completed_work as usize)
-        .collect();
-
-    // Reconstruct the colored grid from the per-student started-cell logs
-    // (which, unlike the static assignments, account for adopted orphan
-    // work) and verify it.
-    let mut grid = Grid::new(flag.width, flag.height);
-    for (log, &done) in state.started.iter().zip(&completed) {
-        for item in &log[..done.min(log.len())] {
-            grid.paint(item.cell, item.color);
-        }
-    }
-    // The painting loop above was `started`'s last reader; move, don't
-    // clone, the per-student logs into the report.
-    let cell_log = std::mem::take(&mut state.started);
-    let correct = grid.iter().all(|(id, got)| {
-        let want = flag.reference.get(id);
-        if config.skip_colors.contains(&want) {
-            got == Color::Blank || got == want
-        } else {
-            got == want
-        }
-    });
-
-    let students: Vec<StudentStats> = trace
-        .procs
-        .iter()
-        .zip(assignments)
-        .zip(&completed)
-        .map(|((p, items), &done)| StudentStats {
-            name: p.name.clone(),
-            cells: items.len(),
-            completed: done,
-            busy: p.busy,
-            waiting: p.waiting,
-            idle: p.idle(trace.end_time),
-            finished_at: p.finished_at.unwrap_or(trace.end_time),
-        })
-        .collect();
-
-    let contention: Vec<ColorContention> = needed
-        .iter()
-        .map(|&c| ColorContention {
-            color: c,
-            stats: trace.resources[res_of_color[&c].index()].stats.clone(),
-        })
-        .collect();
-
-    // Post-run fault accounting: fumbles bite once per observed hand-off,
-    // the bell bites only if it actually cut the run short, and adopted
-    // orphans become recovery actions.
-    let resilience = if plan.is_empty() {
-        None
-    } else {
-        for e in &plan.events {
-            if let FaultEvent::HandoffFumble { color, extra_secs } = e {
-                let handoffs = contention
-                    .iter()
-                    .find(|c| c.color == *color)
-                    .map_or(0, |c| c.stats.handoffs);
-                if handoffs > 0 {
-                    state.incidents.push(Incident {
-                        at_secs: 0.0,
-                        what: format!(
-                            "every {color} hand-off fumbled (+{extra_secs:.1}s x {handoffs})"
-                        ),
-                    });
-                    state.time_lost_secs += extra_secs * handoffs as f64;
-                }
-            }
-        }
-        let bell = plan.events.iter().any(|e| {
-            matches!(e, FaultEvent::DeadlineBell { at_secs }
-                if deadline_secs == Some(*at_secs)
-                    && (trace.end_time.as_secs_f64() - at_secs).abs() < 1e-9)
-        });
-        if bell {
-            state.incidents.push(Incident {
-                at_secs: trace.end_time.as_secs_f64(),
-                what: "the bell rang with work unfinished".to_owned(),
-            });
-        }
-        for (i, &n) in state.adopted.iter().enumerate() {
-            if n > 0 {
-                state
-                    .actions
-                    .push(RecoveryAction::CellsAdopted { student: i, cells: n });
-            }
-        }
-        state
-            .incidents
-            .sort_by(|a, b| a.at_secs.total_cmp(&b.at_secs));
-        if flagsim_telemetry::enabled() {
-            flagsim_telemetry::count("faults.incidents", state.incidents.len() as u64);
-            flagsim_telemetry::count("faults.recovery_actions", state.actions.len() as u64);
-            flagsim_telemetry::observe("faults.time_lost_secs", state.time_lost_secs);
-            if state.aborted.is_some() {
-                flagsim_telemetry::count("faults.aborted_runs", 1);
-            }
-        }
-        Some(ResilienceReport {
-            plan_label: plan.label.clone(),
-            policy: plan.policy,
-            faults_planned: plan.events.len(),
-            incidents: state.incidents,
-            actions: state.actions,
-            time_lost_secs: state.time_lost_secs,
-            aborted: state.aborted.is_some(),
-        })
-    };
-
-    flagsim_telemetry::count("run.breakages", breakages);
-    Ok(ActivityOutcome::Completed(Box::new(RunReport {
-        label,
-        flag_name: flag.name.clone(),
-        completion: trace.makespan(),
-        students,
-        contention,
-        grid,
-        correct,
-        breakages,
-        resilience,
-        trace,
-        cell_log,
-    })))
+/// The names a caller's team carries, shared with the student processes.
+pub(crate) fn names_of(team: &[StudentProfile]) -> Vec<Arc<str>> {
+    team.iter().map(|s| Arc::from(s.name.as_str())).collect()
 }
 
 #[cfg(test)]

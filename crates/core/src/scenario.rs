@@ -4,10 +4,12 @@ use crate::config::{ActivityConfig, TeamKit};
 use crate::faults::FaultPlan;
 use crate::partition::{verify_assignments, CellOrder, PartitionStrategy};
 use crate::report::RunReport;
-use crate::run::{run_activity, ActivityOutcome};
-use crate::work::PreparedFlag;
+use crate::run::{names_of, ActivityOutcome, ColorSlots, KitSlots, RunSpec};
+use crate::work::{PreparedFlag, WorkItem};
 use flagsim_agents::StudentProfile;
 use flagsim_desim::SchedulePolicy;
+use flagsim_grid::Color;
+use std::sync::Arc;
 
 /// A named task decomposition: what the instructor projects on the slide.
 #[derive(Debug, Clone, PartialEq)]
@@ -166,18 +168,29 @@ impl Scenario {
         Ok(CompiledScenario {
             name: self.name.clone(),
             flag: flag.clone(),
+            colors: ColorSlots::of(&assignments),
+            names: (1..=assignments.len())
+                .map(|i| Arc::from(format!("P{i}")))
+                .collect(),
             assignments,
+            skip: config.skip_colors.clone(),
         })
     }
 }
 
 /// A [`Scenario`] bound to one flag with its partition computed and
-/// verified — the reusable per-rep unit of a sweep.
+/// verified — the reusable per-rep unit of a sweep. It also holds what
+/// every run of the partition shares: the colors it needs, each cell's
+/// slot among them, and the names `P1`, `P2`, … of a sweep's students.
 #[derive(Debug, Clone)]
 pub struct CompiledScenario {
     name: String,
     flag: PreparedFlag,
-    assignments: Vec<Vec<crate::work::WorkItem>>,
+    assignments: Vec<Vec<WorkItem>>,
+    /// The skip colors the assignments were verified against.
+    skip: Vec<Color>,
+    colors: ColorSlots,
+    names: Vec<Arc<str>>,
 }
 
 impl CompiledScenario {
@@ -201,7 +214,7 @@ impl CompiledScenario {
     /// per-call partition and verification work. `policy` forces the
     /// engine's tie order — the per-schedule unit of `flagsim verify`'s
     /// exploration — and `None` keeps the engine's own. See
-    /// [`run_activity`].
+    /// [`run_activity`](crate::run::run_activity).
     pub fn run_scheduled(
         &self,
         team: &mut [StudentProfile],
@@ -210,24 +223,53 @@ impl CompiledScenario {
         plan: &FaultPlan,
         policy: Option<Box<dyn SchedulePolicy>>,
     ) -> Result<ActivityOutcome, String> {
-        let needed = self.assignments.len();
-        if team.len() < needed {
+        self.check_team(team.len())?;
+        let team = &mut team[..self.parts()];
+        let kit = self.resolve_kit(kit);
+        let names = names_of(team);
+        let spec = self.spec(&kit, &names);
+        let ran = spec.simulate(team, config, plan, policy)?;
+        Ok(spec.report(ran, config, plan))
+    }
+
+    /// Errors unless a team of `size` can staff every part.
+    pub(crate) fn check_team(&self, size: usize) -> Result<(), String> {
+        let needed = self.parts();
+        if size < needed {
             return Err(format!(
-                "{} needs {needed} coloring students, team has {}",
-                self.name,
-                team.len()
+                "{} needs {needed} coloring students, team has {size}",
+                self.name
             ));
         }
-        run_activity(
-            self.name.clone(),
-            &self.flag,
-            &self.assignments,
-            &mut team[..needed],
+        Ok(())
+    }
+
+    /// `kit` resolved against the colors this partition needs.
+    pub(crate) fn resolve_kit(&self, kit: &TeamKit) -> Result<KitSlots, String> {
+        KitSlots::resolve(kit, self.colors.needed())
+    }
+
+    /// The names `P1`, `P2`, … of a sweep's fresh team, one per part.
+    pub(crate) fn names(&self) -> &[Arc<str>] {
+        &self.names
+    }
+
+    /// The run inputs of this partition with a resolved kit and the
+    /// students' names.
+    pub(crate) fn spec<'a>(
+        &'a self,
+        kit: &'a Result<KitSlots, String>,
+        names: &'a [Arc<str>],
+    ) -> RunSpec<'a> {
+        RunSpec {
+            label: &self.name,
+            flag: &self.flag,
+            assignments: &self.assignments,
+            colors: &self.colors,
             kit,
-            config,
-            plan,
-            policy,
-        )
+            names,
+            verified_skip: Some(&self.skip),
+        }
     }
 }
 

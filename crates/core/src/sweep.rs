@@ -15,14 +15,17 @@
 //! produces a [`SweepResult`] identical to the serial sweep's for the
 //! same configuration.
 //!
-//! For huge campaigns, [`SweepRunner::retain_reports`]`(false)` drops
-//! each [`RunReport`] after extracting its two metrics and accumulates
-//! them in O(1) memory with [`StreamingStats`]; a progress callback
-//! ([`SweepRunner::on_progress`]) gives observability either way.
+//! For huge campaigns, [`SweepRunner::retain_reports`]`(false)` runs each
+//! repetition through the stats-only post-step
+//! ([`SweepRunner::run_rep_stats`]): no [`RunReport`] is built, and the
+//! two swept metrics accumulate in O(1) memory with [`StreamingStats`].
+//! A progress callback ([`SweepRunner::on_progress`]) gives
+//! observability either way.
 
 use crate::config::{ActivityConfig, TeamKit};
 use crate::faults::FaultPlan;
-use crate::report::RunReport;
+use crate::report::{RepStats, RunReport};
+use crate::run::{KitSlots, Ran, RunSpec};
 use crate::scenario::{CompiledScenario, Scenario};
 use crate::work::PreparedFlag;
 use flagsim_agents::StudentProfile;
@@ -115,6 +118,9 @@ pub struct SweepProgress {
 
 type ProgressFn<'a> = dyn Fn(SweepProgress) + Send + Sync + 'a;
 
+/// A compiled scenario and the kit resolved against its colors.
+type Compiled = (CompiledScenario, Result<KitSlots, String>);
+
 /// The sweep engine: a builder over the scenario, flag, kit and config,
 /// plus the fault-plan, parallel, streaming and observability knobs.
 ///
@@ -150,9 +156,10 @@ pub struct SweepRunner<'a> {
     jobs: usize,
     retain_reports: bool,
     progress: Option<Box<ProgressFn<'a>>>,
-    /// The scenario partitioned and verified once, shared by every rep
-    /// (and every worker thread — the partition is seed-independent).
-    compiled: OnceLock<Result<CompiledScenario, String>>,
+    /// The scenario partitioned and verified once, and the kit resolved
+    /// against its colors, shared by every rep (and every worker thread —
+    /// neither depends on the seed).
+    compiled: OnceLock<Result<Compiled, String>>,
 }
 
 impl<'a> SweepRunner<'a> {
@@ -213,9 +220,9 @@ impl<'a> SweepRunner<'a> {
         self
     }
 
-    /// Keep every [`RunReport`] (the default), or drop each report
-    /// after extracting its metrics and stream the statistics in O(1)
-    /// memory — the only way a million-repetition sweep fits in RAM.
+    /// Keep every [`RunReport`] (the default), or run each repetition
+    /// for its stats alone and stream them in O(1) memory — the only way
+    /// a million-repetition sweep fits in RAM.
     pub fn retain_reports(mut self, retain: bool) -> Self {
         self.retain_reports = retain;
         self
@@ -252,7 +259,7 @@ impl<'a> SweepRunner<'a> {
             for rep in 0..self.reps {
                 let rep_span =
                     flagsim_telemetry::span_linked("sim", "sweep.rep", sweep_id).arg("rep", rep);
-                let outcome = self.run_rep(rep);
+                let outcome = self.run_kept(rep);
                 drop(rep_span);
                 collector.accept(rep, outcome);
                 let mut p = collector.snapshot();
@@ -269,43 +276,74 @@ impl<'a> SweepRunner<'a> {
         collector.finish(self.reps)
     }
 
-    /// One repetition: fresh team, derived seed — the exact recipe the
-    /// serial sweep has always used, so seeds are independent of the
-    /// job count. Public so out-of-process executors (the
-    /// `flagsim-shard` worker) run the *same* repetition function the
-    /// in-process sweep runs: a shard worker handed rep `i` produces the
-    /// identical [`RunReport`] this runner would have produced for rep
-    /// `i`, which is what keeps distributed sweeps bit-for-bit equal to
-    /// serial ones.
+    /// One repetition's full report: fresh team, derived seed — the
+    /// exact recipe the serial sweep has always used, so seeds are
+    /// independent of the job count. The report carries trace events
+    /// only when reports are retained and the configuration records
+    /// them.
     pub fn run_rep(&self, rep: u64) -> Result<RunReport, String> {
-        let compiled = self
+        let (spec, ran, cfg) = self.simulate_rep(rep, self.retain_reports)?;
+        spec.report(ran, &cfg, &self.plan).into_report()
+    }
+
+    /// One repetition's stats alone: the same run as
+    /// [`SweepRunner::run_rep`], with completion, waiting and `correct`
+    /// bit-identical to its report's, but no report built. Streaming
+    /// sweeps and out-of-process executors (the `flagsim-shard` worker)
+    /// run this, which keeps distributed sweeps bit-for-bit equal to
+    /// serial ones.
+    pub fn run_rep_stats(&self, rep: u64) -> Result<RepStats, String> {
+        let (spec, ran, cfg) = self.simulate_rep(rep, false)?;
+        spec.stats(ran, &cfg, &self.plan)
+    }
+
+    /// The run body both outcomes of rep `rep` share. Trace events are
+    /// recorded only when `keep_events` and the configuration ask for
+    /// them; accounting is bit-identical with the sink off.
+    fn simulate_rep(
+        &self,
+        rep: u64,
+        keep_events: bool,
+    ) -> Result<(RunSpec<'_>, Ran, ActivityConfig), String> {
+        let (compiled, kit) = self
             .compiled
-            .get_or_init(|| self.scenario.compile(self.flag, self.config))
+            .get_or_init(|| {
+                let compiled = self.scenario.compile(self.flag, self.config)?;
+                let kit = compiled.resolve_kit(self.kit);
+                Ok((compiled, kit))
+            })
             .as_ref()
             .map_err(Clone::clone)?;
-        let mut team: Vec<StudentProfile> = (1..=self.team_size)
-            .map(|i| {
-                let s = StudentProfile::new(format!("P{i}"));
-                if self.warmup {
-                    s
-                } else {
-                    s.without_warmup()
-                }
-            })
-            .collect();
-        let mut cfg = ActivityConfig {
+        compiled.check_team(self.team_size)?;
+        // The compiled scenario names the students, so each fresh profile
+        // carries only the cost model's state; students past the parts
+        // would sit out, so none are built.
+        let student = StudentProfile::new(String::new());
+        let student = if self.warmup {
+            student
+        } else {
+            student.without_warmup()
+        };
+        let mut team = vec![student; compiled.parts()];
+        let cfg = ActivityConfig {
             seed: self.config.seed.wrapping_add(rep.wrapping_mul(0x9E37_79B9)),
+            trace_events: keep_events && self.config.trace_events,
             ..self.config.clone()
         };
-        if !self.retain_reports {
-            // Streaming mode drops each report after extracting its
-            // aggregate metrics, so recording per-event traces is pure
-            // waste; accounting is bit-identical with the sink off.
-            cfg.trace_events = false;
+        let spec = compiled.spec(kit, compiled.names());
+        let ran = spec.simulate(&mut team, &cfg, &self.plan, None)?;
+        Ok((spec, ran, cfg))
+    }
+
+    /// One repetition in the outcome the sweep keeps: the report with
+    /// its stats when reports are retained, the stats alone otherwise.
+    fn run_kept(&self, rep: u64) -> Result<(RepStats, Option<RunReport>), String> {
+        if self.retain_reports {
+            let report = self.run_rep(rep)?;
+            Ok((report.stats(), Some(report)))
+        } else {
+            Ok((self.run_rep_stats(rep)?, None))
         }
-        compiled
-            .run_scheduled(&mut team, self.kit, &cfg, &self.plan, None)?
-            .into_report()
     }
 
     /// Fan repetitions across `jobs` scoped worker threads. Workers pull
@@ -323,7 +361,7 @@ impl<'a> SweepRunner<'a> {
         collector: &mut Collector,
     ) {
         struct Reorder<'c> {
-            pending: BTreeMap<u64, Result<RunReport, String>>,
+            pending: BTreeMap<u64, Result<(RepStats, Option<RunReport>), String>>,
             next_emit: u64,
             collector: &'c mut Collector,
         }
@@ -350,7 +388,7 @@ impl<'a> SweepRunner<'a> {
                         let rep_span =
                             flagsim_telemetry::span_linked("sim", "sweep.rep", sweep_id)
                                 .arg("rep", rep);
-                        let outcome = self.run_rep(rep);
+                        let outcome = self.run_kept(rep);
                         drop(rep_span);
                         let snapshot = {
                             let mut guard = shared.lock().expect("no worker panicked mid-merge");
@@ -419,15 +457,15 @@ impl Collector {
     /// The streaming accumulators run even in retained mode: they are
     /// O(1) per repetition and feed the live `sweep.completion.*`
     /// gauges the dashboard reads mid-sweep.
-    fn accept(&mut self, rep: u64, outcome: Result<RunReport, String>) {
+    fn accept(&mut self, rep: u64, outcome: Result<(RepStats, Option<RunReport>), String>) {
         self.completed += 1;
         match outcome {
-            Ok(report) => {
-                let completion = report.completion_secs();
-                let wait = report.total_wait_secs();
+            Ok((stats, report)) => {
+                let completion = stats.completion_secs;
+                let wait = stats.wait_secs;
                 self.completion_stream.push(completion);
                 self.waiting_stream.push(wait);
-                if self.retain {
+                if let Some(report) = report {
                     self.completions.push(completion);
                     self.waits.push(wait);
                     self.reports.push(report);

@@ -6,9 +6,11 @@
 use flagsim_agents::{ImplementKind, StudentProfile};
 use flagsim_core::config::{ActivityConfig, ReleasePolicy, TeamKit};
 use flagsim_core::partition::{verify_assignments, CellOrder, PartitionStrategy};
+use flagsim_core::sweep::SweepRunner;
 use flagsim_core::work::PreparedFlag;
-use flagsim_core::{run_activity, ActivityOutcome, FaultPlan};
+use flagsim_core::{run_activity, ActivityOutcome, FaultPlan, Scenario};
 use flagsim_flags::library;
+use flagsim_grid::Color;
 use proptest::prelude::*;
 
 fn strategy_strategy() -> impl Strategy<Value = PartitionStrategy> {
@@ -187,5 +189,82 @@ proptest! {
         .and_then(ActivityOutcome::into_report)
         .expect("run succeeds");
         prop_assert!(r.correct);
+    }
+}
+
+/// A fault plan (and deadline) for the stats-vs-report property: none,
+/// one fault kind or a mix, a bell, a configured deadline, or an
+/// abort — every branch of the live fault state.
+fn faulted(which: u8, color: Color, at_secs: f64) -> (FaultPlan, Option<f64>) {
+    let plan = FaultPlan::new("prop");
+    match which {
+        0 => (FaultPlan::none(), None),
+        1 => (plan.break_implement(color, at_secs), None),
+        2 => (plan.dropout(0, at_secs).fumble(color, 1.5), None),
+        3 => (plan.bell(at_secs), None),
+        4 => (FaultPlan::none(), Some(at_secs)),
+        5 => (
+            plan.dry_out(color, at_secs)
+                .with_policy(flagsim_core::RecoveryPolicy::AbortAndReport),
+            None,
+        ),
+        _ => (
+            plan.late_arrival(0, at_secs).dropout(0, at_secs * 1.5),
+            None,
+        ),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The stats-only rep is the report rep minus the report: completion
+    /// and total waiting agree bit for bit and `correct` agrees, on the
+    /// six built-ins, three lesson flags and Jordan without white, with
+    /// warm-up on or off, plain (the count-based `correct`) or with
+    /// faults, a bell or a deadline (the repainted grid).
+    #[test]
+    fn stats_rep_equals_report_rep(
+        flag_idx in 0usize..4,
+        builtin in 0usize..6,
+        seed in any::<u64>(),
+        rep in 0u64..64,
+        warmup in any::<bool>(),
+        which in 0u8..7,
+        at_secs in 5.0f64..120.0,
+        color_pick in any::<usize>(),
+    ) {
+        let (spec, skip) = match flag_idx {
+            0 => (library::mauritius(), vec![]),
+            1 => (library::great_britain(), vec![]),
+            2 => (library::canada(), vec![]),
+            _ => (library::jordan(), vec![Color::White]),
+        };
+        let flag = PreparedFlag::new(&spec);
+        let colors = flag.colors_needed(&skip);
+        let token = ["1", "2", "3", "4", "pipelined", "alternating"][builtin];
+        let scenario = Scenario::builtin(token, &flag).expect("a built-in");
+        let kit = TeamKit::uniform(ImplementKind::ThickMarker, &colors);
+        let (plan, deadline) = faulted(which, colors[color_pick % colors.len()], at_secs);
+        let mut cfg = ActivityConfig::default().with_seed(seed).skipping(&skip);
+        cfg.deadline_secs = deadline;
+        let runner = SweepRunner::new(&scenario, &flag, &kit, &cfg)
+            .warmup(warmup)
+            .plan(&plan);
+        let stats = runner.run_rep_stats(rep);
+        let report = runner.run_rep(rep);
+        match (stats, report) {
+            (Ok(s), Ok(r)) => {
+                prop_assert_eq!(s.completion_secs.to_bits(), r.completion_secs().to_bits());
+                prop_assert_eq!(s.wait_secs.to_bits(), r.total_wait_secs().to_bits());
+                prop_assert_eq!(s.correct, r.correct, "{} / {token}, plan {which}", spec.name);
+                prop_assert_eq!(s, r.stats());
+                if which == 0 {
+                    prop_assert!(s.correct, "a plain run finishes the flag");
+                }
+            }
+            (Err(a), Err(b)) => prop_assert_eq!(a, b),
+            (a, b) => prop_assert!(false, "outcomes differ: {a:?} vs {:?}", b.map(|r| r.stats())),
+        }
     }
 }

@@ -24,7 +24,7 @@
 //!   exponentially with a cap and an attempt budget.
 //! * **Degradation**: when no worker is reachable at all, the
 //!   coordinator runs the repetitions in-process (the same
-//!   [`SweepRunner::run_rep`](flagsim_core::sweep::SweepRunner::run_rep)
+//!   [`SweepRunner::run_rep_stats`](flagsim_core::sweep::SweepRunner::run_rep_stats)
 //!   the workers call), so a dead cluster costs wall-clock time, never a
 //!   campaign.
 //! * **Checkpoint/resume** ([`checkpoint`]): the coordinator

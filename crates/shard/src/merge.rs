@@ -16,6 +16,7 @@
 //! dropped: merging is idempotent per repetition index.
 
 use flagsim_core::sweep::SweepFailure;
+use flagsim_core::RepStats;
 use flagsim_metrics::{RunStats, StreamingStats};
 use std::collections::BTreeMap;
 
@@ -34,6 +35,20 @@ pub enum RepOutcome {
         /// The error string the run reported.
         error: String,
     },
+}
+
+impl RepOutcome {
+    /// The outcome of one stats-only rep
+    /// ([`SweepRunner::run_rep_stats`](flagsim_core::sweep::SweepRunner::run_rep_stats)).
+    pub fn of(stats: Result<RepStats, String>) -> RepOutcome {
+        match stats {
+            Ok(s) => RepOutcome::Ok {
+                completion: s.completion_secs,
+                waiting: s.wait_secs,
+            },
+            Err(error) => RepOutcome::Failed { error },
+        }
+    }
 }
 
 /// Order-restoring accumulator over per-rep outcomes.

@@ -5,7 +5,7 @@
 //! needs arrives in the `hello` frame's [`JobSpec`], it materializes the
 //! job through the same code path the coordinator uses, and every
 //! repetition runs through
-//! [`SweepRunner::run_rep`](flagsim_core::sweep::SweepRunner::run_rep) —
+//! [`SweepRunner::run_rep_stats`](flagsim_core::sweep::SweepRunner::run_rep_stats) —
 //! so its answers are bit-identical to the coordinator computing the
 //! same rep locally. Reps inside a lease run in ascending order and are
 //! reported one frame each; that ordering is what lets the coordinator
@@ -267,13 +267,7 @@ pub fn serve_session(stream: &TcpStream, opts: &WorkerOptions) -> io::Result<()>
                     let outcome = {
                         let _rep_span = sampled
                             .then(|| flagsim_telemetry::span("sim", "sweep.rep").arg("rep", rep));
-                        match runner.run_rep(rep) {
-                            Ok(report) => RepOutcome::Ok {
-                                completion: report.completion_secs(),
-                                waiting: report.total_wait_secs(),
-                            },
-                            Err(error) => RepOutcome::Failed { error },
-                        }
+                        RepOutcome::of(runner.run_rep_stats(rep))
                     };
                     wire::send(&mut writer, &Message::Rep { rep, outcome })?;
                     if flagsim_telemetry::enabled() {
