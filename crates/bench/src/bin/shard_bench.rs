@@ -7,9 +7,12 @@
 //! ```
 //!
 //! Defaults: 128 reps, 3 workers, 4 kill points, chunk 8,
-//! `BENCH_shard.json`. `--smoke` shrinks the run (12 reps, 2 workers,
-//! 3 kill points, chunk 3) so CI exercises the full protocol on every
-//! push.
+//! `BENCH_shard.json`; the serial and sharded campaigns are each timed
+//! over 3 trials that repeat the campaign for at least 1 s, and
+//! reported as the fastest and the median trial with the host (nproc,
+//! rustc, git rev). `--smoke` shrinks the run (12 reps, 2 workers,
+//! 3 kill points, chunk 3, one campaign per mode) so CI exercises the
+//! full protocol on every push.
 //!
 //! Exits non-zero if either hard gate fails: the multi-worker sharded
 //! statistics must be bit-for-bit identical to serial, and every
@@ -22,6 +25,8 @@ fn main() {
     let mut kill_points: u64 = 4;
     let mut chunk: u64 = 8;
     let mut out_path = String::from("BENCH_shard.json");
+    let mut trials = flagsim_bench::measure::TRIALS;
+    let mut min_trial_secs = flagsim_bench::measure::MIN_TRIAL_SECS;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -57,6 +62,8 @@ fn main() {
                 workers = 2;
                 kill_points = 3;
                 chunk = 3;
+                trials = 1;
+                min_trial_secs = 0.0;
             }
             other => {
                 eprintln!("unknown argument {other:?}");
@@ -68,7 +75,7 @@ fn main() {
             }
         }
     }
-    let bench = flagsim_bench::run_shard_bench(reps, workers, kill_points, chunk);
+    let bench = flagsim_bench::run_shard_bench(reps, workers, kill_points, chunk, trials, min_trial_secs);
     println!("{}", bench.summary());
     std::fs::write(&out_path, bench.to_json()).expect("write benchmark JSON");
     println!("wrote {out_path}");

@@ -8,7 +8,7 @@
 //!   rewritten event loop, with the trace sink off. This isolates the
 //!   DES loop from cost-model sampling and is the number compared
 //!   against the pre-rewrite full-rep baseline of ~31k reps/sec
-//!   (`BENCH_sweep.json`, 1-core container).
+//!   (the `BENCH_sweep.json` of that time, 1-core container).
 //! - **End-to-end reps/sec**: real stats-only scenario-4 sweep reps
 //!   through [`flagsim_core::sweep::SweepRunner`] — sampling, engine,
 //!   grid verification and all.
@@ -29,7 +29,8 @@ use flagsim_flags::library;
 use std::fmt::Write as _;
 use std::time::Instant;
 
-/// The pre-rewrite full-rep serial throughput (`BENCH_sweep.json`).
+/// The pre-rewrite full-rep serial throughput (the `BENCH_sweep.json` of
+/// that time, 1-core container).
 pub const BASELINE_REPS_PER_SEC: f64 = 31_228.127;
 
 const PROCS: usize = 4;

@@ -11,6 +11,7 @@
 
 pub mod engine_bench;
 pub mod experiments;
+pub mod measure;
 pub mod obs_bench;
 pub mod shard_bench;
 pub mod sweep_bench;

@@ -23,12 +23,10 @@
 //! exits non-zero on gate failure (`--smoke` skips only the wall-clock
 //! overhead gate; determinism gates always bite).
 
+use crate::shard_bench::{bench_job, completed, join_workers, spawn_workers, stats_bits_equal};
 use flagsim_metrics::RunStats;
-use flagsim_shard::{
-    run_sweep, serve, CoordinatorConfig, JobSpec, LeaseConfig, ObsHub, ShardOutcome, WorkerOptions,
-};
+use flagsim_shard::{run_sweep, CoordinatorConfig, JobSpec, LeaseConfig, ObsHub};
 use std::fmt::Write as _;
-use std::net::TcpListener;
 use std::time::Instant;
 
 /// One distributed-observability benchmark run.
@@ -115,56 +113,6 @@ impl ObsBench {
     }
 }
 
-fn bench_job(reps: u64) -> JobSpec {
-    JobSpec {
-        scenario: "4".into(),
-        flag: "Mauritius".into(),
-        kind: "dauber".into(),
-        seed: 0x0B5,
-        reps,
-        team: 4,
-        warmup: false,
-    }
-}
-
-fn stats_bits_equal(a: &RunStats, b: &RunStats) -> bool {
-    a.n == b.n
-        && a.mean.to_bits() == b.mean.to_bits()
-        && a.stddev.to_bits() == b.stddev.to_bits()
-        && a.min.to_bits() == b.min.to_bits()
-        && a.max.to_bits() == b.max.to_bits()
-        && a.median.to_bits() == b.median.to_bits()
-}
-
-fn completed(outcome: ShardOutcome) -> (RunStats, RunStats) {
-    match outcome {
-        ShardOutcome::Completed(r) => (r.completion, r.waiting),
-        other => panic!("obs bench expected completion, got {other:?}"),
-    }
-}
-
-fn spawn_workers(
-    n: usize,
-    drop_telemetry_every: u64,
-) -> (Vec<String>, Vec<std::thread::JoinHandle<()>>) {
-    let mut endpoints = Vec::new();
-    let mut handles = Vec::new();
-    for i in 0..n {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind bench worker");
-        endpoints.push(listener.local_addr().expect("worker addr").to_string());
-        handles.push(std::thread::spawn(move || {
-            let opts = WorkerOptions {
-                once: true,
-                name: format!("obs-w{i}"),
-                quiet: true,
-                drop_telemetry_every,
-            };
-            serve(&listener, &opts).ok();
-        }));
-    }
-    (endpoints, handles)
-}
-
 /// One sharded campaign; returns stats, wall-clock seconds, and the
 /// telemetry frames the fleet view saw shipped (0 when no collector
 /// was installed, since workers then get no trace context).
@@ -179,7 +127,7 @@ fn sharded_run(
     let (endpoints, handles) = spawn_workers(workers, drop_telemetry_every);
     let hub = ObsHub::new();
     let cfg = CoordinatorConfig {
-        endpoints,
+        endpoints: endpoints.clone(),
         lease: LeaseConfig { chunk, ..LeaseConfig::default() },
         obs: Some(hub.clone()),
         ..CoordinatorConfig::default()
@@ -187,9 +135,7 @@ fn sharded_run(
     let t = Instant::now();
     let stats = completed(run_sweep(job, &cfg).expect("sharded sweep"));
     let secs = t.elapsed().as_secs_f64();
-    for h in handles {
-        h.join().expect("bench worker thread");
-    }
+    join_workers(&endpoints, handles);
     if let Some(c) = collector {
         let _ = c.finish();
     }
@@ -202,7 +148,7 @@ fn sharded_run(
 /// forced-loss campaign. Panics only on infrastructure errors; gate
 /// failures are reported in the result.
 pub fn run_obs_bench(reps: u64, workers: usize, chunk: u64, trials: u32) -> ObsBench {
-    let job = bench_job(reps);
+    let job = bench_job(0x0B5, reps);
     let trials = trials.max(1);
 
     // 1. Serial baseline: the statistics reference.

@@ -10,9 +10,15 @@
 //!    statistics AND its final checkpoint file are bit-identical to an
 //!    uninterrupted run's.
 //!
+//! The first two are timed as the fastest and the median of several
+//! trials, each repeating the campaign for at least a second (see
+//! [`crate::measure`]); the sharded timing leaves out spawning and
+//! joining the workers.
+//!
 //! The `shard_bench` binary writes the result as `BENCH_shard.json` and
 //! exits non-zero if either gate fails.
 
+use crate::measure::{host_json, Timing};
 use flagsim_metrics::RunStats;
 use flagsim_shard::{
     run_sweep, serve, Checkpoint, CoordinatorConfig, JobSpec, LeaseConfig, ShardOutcome,
@@ -33,12 +39,15 @@ pub struct ShardBench {
     pub chunk: u64,
     /// Kill points exercised by the kill/resume gate.
     pub kill_points: u64,
-    /// Serial in-process wall-clock seconds.
-    pub serial_secs: f64,
-    /// Multi-worker sharded wall-clock seconds.
-    pub sharded_secs: f64,
-    /// `serial_secs / sharded_secs` (workers are processes-in-threads
-    /// here, so this measures protocol overhead more than speedup).
+    /// Where it ran, as JSON ([`host_json`]).
+    pub host: String,
+    /// Seconds per serial in-process campaign.
+    pub serial: Timing,
+    /// Seconds per multi-worker sharded campaign.
+    pub sharded: Timing,
+    /// Fastest serial over fastest sharded campaign (workers are
+    /// processes-in-threads here, so this measures protocol overhead
+    /// more than speedup).
     pub speedup: f64,
     /// Gate: sharded statistics bit-identical to serial.
     pub sharded_identical: bool,
@@ -64,8 +73,9 @@ impl ShardBench {
         let _ = writeln!(out, "  \"workers\": {},", self.workers);
         let _ = writeln!(out, "  \"chunk\": {},", self.chunk);
         let _ = writeln!(out, "  \"kill_points\": {},", self.kill_points);
-        let _ = writeln!(out, "  \"serial_secs\": {:.6},", self.serial_secs);
-        let _ = writeln!(out, "  \"sharded_secs\": {:.6},", self.sharded_secs);
+        let _ = writeln!(out, "  \"host\": {},", self.host);
+        let _ = writeln!(out, "  \"serial\": {},", self.serial.to_json(self.reps));
+        let _ = writeln!(out, "  \"sharded\": {},", self.sharded.to_json(self.reps));
         let _ = writeln!(out, "  \"speedup\": {:.3},", self.speedup);
         let _ = writeln!(out, "  \"sharded_identical\": {},", self.sharded_identical);
         let _ = writeln!(
@@ -80,16 +90,17 @@ impl ShardBench {
     /// One-paragraph human summary.
     pub fn summary(&self) -> String {
         format!(
-            "shard bench: {} reps, {} worker(s), chunk {}, {} kill point(s)\n\
-             serial  {:.3}s\n\
-             sharded {:.3}s  (speedup {:.2}x)\n\
+            "shard bench: {} reps, {} worker(s), chunk {}, {} kill point(s), host {}\n\
+             serial  {}\n\
+             sharded {}  (speedup {:.2}x)\n\
              gates: sharded bit-identical: {}  kill/resume bit-identical: {}",
             self.reps,
             self.workers,
             self.chunk,
             self.kill_points,
-            self.serial_secs,
-            self.sharded_secs,
+            self.host,
+            self.serial.to_json(self.reps),
+            self.sharded.to_json(self.reps),
             self.speedup,
             self.sharded_identical,
             self.kill_resume_identical,
@@ -97,19 +108,21 @@ impl ShardBench {
     }
 }
 
-fn bench_job(reps: u64) -> JobSpec {
+/// The Mauritius scenario-4 campaign the shard and observability
+/// benches sweep.
+pub(crate) fn bench_job(seed: u64, reps: u64) -> JobSpec {
     JobSpec {
         scenario: "4".into(),
         flag: "Mauritius".into(),
         kind: "dauber".into(),
-        seed: 0x5EED,
+        seed,
         reps,
         team: 4,
         warmup: false,
     }
 }
 
-fn stats_bits_equal(a: &RunStats, b: &RunStats) -> bool {
+pub(crate) fn stats_bits_equal(a: &RunStats, b: &RunStats) -> bool {
     a.n == b.n
         && a.mean.to_bits() == b.mean.to_bits()
         && a.stddev.to_bits() == b.stddev.to_bits()
@@ -118,17 +131,19 @@ fn stats_bits_equal(a: &RunStats, b: &RunStats) -> bool {
         && a.median.to_bits() == b.median.to_bits()
 }
 
-fn completed(outcome: ShardOutcome) -> (RunStats, RunStats) {
+pub(crate) fn completed(outcome: ShardOutcome) -> (RunStats, RunStats) {
     match outcome {
         ShardOutcome::Completed(r) => (r.completion, r.waiting),
-        other => panic!("shard bench expected completion, got {other:?}"),
+        other => panic!("bench expected completion, got {other:?}"),
     }
 }
 
-/// Spawn `n` in-process TCP workers (`--once` semantics) and return
-/// their endpoints plus join handles.
-fn spawn_workers(
+/// Spawn `n` in-process TCP workers (`--once` semantics), each dropping
+/// every `drop_telemetry_every`-th telemetry batch (0: none), and
+/// return their endpoints plus join handles.
+pub(crate) fn spawn_workers(
     n: usize,
+    drop_telemetry_every: u64,
 ) -> (Vec<String>, Vec<std::thread::JoinHandle<()>>) {
     let mut endpoints = Vec::new();
     let mut handles = Vec::new();
@@ -140,7 +155,7 @@ fn spawn_workers(
                 once: true,
                 name: format!("bench-w{i}"),
                 quiet: true,
-                drop_telemetry_every: 0,
+                drop_telemetry_every,
             };
             serve(&listener, &opts).ok();
         }));
@@ -148,48 +163,73 @@ fn spawn_workers(
     (endpoints, handles)
 }
 
-/// Run the benchmark: serial baseline, `workers`-way sharded run, and
+/// Join the workers [`spawn_workers`] started. A campaign can finish
+/// before some worker's session begins (another worker took every
+/// lease); that worker still waits in `accept`, so an empty connection
+/// wakes it first.
+pub(crate) fn join_workers(endpoints: &[String], handles: Vec<std::thread::JoinHandle<()>>) {
+    for (addr, h) in endpoints.iter().zip(handles) {
+        if !h.is_finished() {
+            let _ = std::net::TcpStream::connect(addr);
+        }
+        h.join().expect("bench worker thread");
+    }
+}
+
+/// Run the benchmark: serial baseline and `workers`-way sharded run,
+/// each timed over `trials` trials of at least `min_trial_secs`, then
 /// `kill_points` kill → resume cycles, all over a `reps`-repetition
 /// Mauritius scenario-4 campaign. Panics only on infrastructure errors
 /// (bind/spawn/IO); gate failures are reported in the result.
-pub fn run_shard_bench(reps: u64, workers: usize, kill_points: u64, chunk: u64) -> ShardBench {
-    let job = bench_job(reps);
+pub fn run_shard_bench(
+    reps: u64,
+    workers: usize,
+    kill_points: u64,
+    chunk: u64,
+    trials: u32,
+    min_trial_secs: f64,
+) -> ShardBench {
+    let job = bench_job(0x5EED, reps);
     let dir = std::env::temp_dir().join(format!("flagsim-shard-bench-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("bench tmp dir");
 
     // 1. Serial baseline — also writes the reference final checkpoint.
     let fresh_ckpt = dir.join("fresh.ckpt");
-    let t0 = Instant::now();
-    let (serial_c, serial_w) = completed(
-        run_sweep(
+    let mut serial_stats = None;
+    let serial = Timing::measure(trials, min_trial_secs, || {
+        let t = Instant::now();
+        let outcome = run_sweep(
             &job,
             &CoordinatorConfig {
                 checkpoint_path: Some(fresh_ckpt.clone()),
                 ..CoordinatorConfig::default()
             },
-        )
-        .expect("serial baseline sweep"),
-    );
-    let serial_secs = t0.elapsed().as_secs_f64();
+        );
+        let secs = t.elapsed().as_secs_f64();
+        serial_stats = Some(completed(outcome.expect("serial baseline sweep")));
+        secs
+    });
+    let (serial_c, serial_w) = serial_stats.expect("at least one serial run");
 
     // 2. Multi-worker sharded run over real TCP sessions.
-    let (endpoints, handles) = spawn_workers(workers);
-    let t1 = Instant::now();
-    let (shard_c, shard_w) = completed(
-        run_sweep(
+    let mut shard_stats = None;
+    let sharded = Timing::measure(trials, min_trial_secs, || {
+        let (endpoints, handles) = spawn_workers(workers, 0);
+        let t = Instant::now();
+        let outcome = run_sweep(
             &job,
             &CoordinatorConfig {
-                endpoints,
+                endpoints: endpoints.clone(),
                 lease: LeaseConfig { chunk, ..LeaseConfig::default() },
                 ..CoordinatorConfig::default()
             },
-        )
-        .expect("sharded sweep"),
-    );
-    let sharded_secs = t1.elapsed().as_secs_f64();
-    for h in handles {
-        h.join().expect("bench worker thread");
-    }
+        );
+        let secs = t.elapsed().as_secs_f64();
+        join_workers(&endpoints, handles);
+        shard_stats = Some(completed(outcome.expect("sharded sweep")));
+        secs
+    });
+    let (shard_c, shard_w) = shard_stats.expect("at least one sharded run");
     let sharded_identical =
         stats_bits_equal(&shard_c, &serial_c) && stats_bits_equal(&shard_w, &serial_w);
 
@@ -240,9 +280,10 @@ pub fn run_shard_bench(reps: u64, workers: usize, kill_points: u64, chunk: u64) 
         workers,
         chunk,
         kill_points,
-        serial_secs,
-        sharded_secs,
-        speedup: serial_secs / sharded_secs.max(f64::MIN_POSITIVE),
+        host: host_json(),
+        speedup: serial.min_secs / sharded.min_secs.max(f64::MIN_POSITIVE),
+        serial,
+        sharded,
         sharded_identical,
         kill_resume_identical,
     }
@@ -254,7 +295,7 @@ mod tests {
 
     #[test]
     fn smoke_bench_passes_both_gates_and_serializes() {
-        let b = run_shard_bench(8, 2, 3, 2);
+        let b = run_shard_bench(8, 2, 3, 2, 1, 0.0);
         assert!(b.sharded_identical, "sharded stats diverged from serial");
         assert!(b.kill_resume_identical, "kill/resume cycle diverged");
         assert!(b.gates_pass());

@@ -858,9 +858,8 @@ fn cmd_sweep(opts: &Opts) -> Result<String, CliError> {
             }
         }
     }
-    let result = result?;
-    let mut out = format!(
-        "{} — {}, {} rep(s), {} job(s), seed {}{}\n\n",
+    let header = format!(
+        "{} — {}, {} rep(s), {} job(s), seed {}{}",
         scenario.name,
         run.spec.name,
         reps,
@@ -872,9 +871,31 @@ fn cmd_sweep(opts: &Opts) -> Result<String, CliError> {
             ""
         },
     );
+    Ok(sweep_summary(header, &result?, |line| eprintln!("{line}")))
+}
+
+/// What every completed sweep prints, in-process or sharded: `header`,
+/// the statistics table and the mean ± CI line (returned for stdout),
+/// and the first failure, if any, through `warn` — stderr, or above a
+/// live dashboard — so `flagsim sweep ... > results.txt` stays
+/// machine-readable.
+fn sweep_summary(
+    header: String,
+    result: &flagsim_core::sweep::SweepResult,
+    warn: impl Fn(&str),
+) -> String {
+    if let Some(first) = result.failures.first() {
+        warn(&format!(
+            "sweep: {} repetition(s) failed; first: rep {}: {}",
+            result.failures.len(),
+            first.rep,
+            first.error
+        ));
+    }
+    let mut out = header;
     let _ = writeln!(
         out,
-        "{:<12}{:>6}{:>10}{:>10}{:>10}{:>10}{:>10}",
+        "\n\n{:<12}{:>6}{:>10}{:>10}{:>10}{:>10}{:>10}",
         "metric", "n", "mean s", "stddev", "min", "median", "max"
     );
     for (label, s) in [("completion", &result.completion), ("waiting", &result.waiting)] {
@@ -889,19 +910,7 @@ fn cmd_sweep(opts: &Opts) -> Result<String, CliError> {
         "\ncompletion {} (mean ± 95% CI)",
         result.completion.display_secs()
     );
-    // Failure diagnostics go to stderr (and the `sweep.failures` counter
-    // when telemetry is on) so `flagsim sweep ... > results.txt` stays
-    // machine-readable.
-    if !result.failures.is_empty() {
-        let first = &result.failures[0];
-        eprintln!(
-            "sweep: {} repetition(s) failed; first: rep {}: {}",
-            result.failures.len(),
-            first.rep,
-            first.error
-        );
-    }
-    Ok(out)
+    out
 }
 
 /// `flagsim sweep` with distribution/durability flags: run the campaign
@@ -1067,8 +1076,9 @@ fn cmd_sweep_shard(opts: &Opts) -> Result<String, CliError> {
         let handle = std::thread::spawn(move || {
             while !stop2.load(std::sync::atomic::Ordering::Relaxed) {
                 let now = started.elapsed().as_millis() as u64;
-                let (merged, rows) = hub.with(|fv| (fv.merged, fleet_rows(fv, now)));
-                d.update_fleet(merged, 0, &rows);
+                let (merged, failed, rows) =
+                    hub.with(|fv| (fv.merged, fv.failed, fleet_rows(fv, now)));
+                d.update_fleet(merged, failed, &rows);
                 std::thread::sleep(std::time::Duration::from_millis(150));
             }
         });
@@ -1131,37 +1141,11 @@ fn cmd_sweep_shard(opts: &Opts) -> Result<String, CliError> {
     }
     match outcome? {
         ShardOutcome::Completed(r) => {
-            if !r.failures.is_empty() {
-                let first = &r.failures[0];
-                emit(&format!(
-                    "sweep: {} repetition(s) failed; first: rep {}: {}",
-                    r.failures.len(),
-                    first.rep,
-                    first.error
-                ));
-            }
-            let mut out = format!(
-                "{} — {}, {} rep(s), {} worker(s), {} job(s), seed {}, sharded\n\n",
+            let header = format!(
+                "{} — {}, {} rep(s), {} worker(s), {} job(s), seed {}, sharded",
                 mat.scenario.name, mat.spec.name, job.reps, worker_count, jobs, job.seed,
             );
-            let _ = writeln!(
-                out,
-                "{:<12}{:>6}{:>10}{:>10}{:>10}{:>10}{:>10}",
-                "metric", "n", "mean s", "stddev", "min", "median", "max"
-            );
-            for (label, s) in [("completion", &r.completion), ("waiting", &r.waiting)] {
-                let _ = writeln!(
-                    out,
-                    "{:<12}{:>6}{:>10.2}{:>10.2}{:>10.2}{:>10.2}{:>10.2}",
-                    label, s.n, s.mean, s.stddev, s.min, s.median, s.max
-                );
-            }
-            let _ = writeln!(
-                out,
-                "\ncompletion {} (mean ± 95% CI)",
-                r.completion.display_secs()
-            );
-            Ok(out)
+            Ok(sweep_summary(header, &r, emit))
         }
         ShardOutcome::DeadlineExpired { merged, total, checkpoint } => {
             let hint = match checkpoint {

@@ -321,6 +321,33 @@ fn sweep_with_spawned_workers_matches_serial_statistics() {
 }
 
 #[test]
+fn all_failed_sweep_reports_the_same_lines_in_process_and_through_the_coordinator() {
+    // A team of 2 can never staff scenario 3's four stripes: every rep
+    // fails. The in-process sweep and the coordinator (here reached via
+    // --checkpoint) fold through the same merge, so they must print the
+    // same per-rep warnings and the same final error.
+    let ckpt = std::env::temp_dir().join(format!("flagsim-allfail-{}.ckpt", std::process::id()));
+    let base = ["sweep", "3", "--team", "2", "--reps", "5", "--no-check"];
+    let (out_a, err_a, code_a) = flagsim_code(&[&base[..], &["--stream"]].concat());
+    let (out_b, err_b, code_b) =
+        flagsim_code(&[&base[..], &["--checkpoint", ckpt.to_str().unwrap()]].concat());
+    std::fs::remove_file(&ckpt).ok();
+    assert_eq!((code_a, code_b), (2, 2), "{err_a}\n{err_b}");
+    assert!(out_a.is_empty() && out_b.is_empty(), "{out_a}{out_b}");
+    assert_eq!(err_a, err_b, "one failure report on both paths");
+    let warnings = err_a
+        .lines()
+        .filter(|l| l.contains("repetition failed"))
+        .count();
+    assert_eq!(warnings, 5, "one warning per failed rep: {err_a}");
+    assert!(
+        err_a.trim_end().ends_with("team has 2")
+            && err_a.contains("error: all 5 repetitions failed; first: rep 0: "),
+        "{err_a}"
+    );
+}
+
+#[test]
 fn worker_prints_its_bound_address_and_serves_a_connect_sweep() {
     use std::io::BufRead as _;
     // Start a standalone worker on an ephemeral port.

@@ -9,11 +9,17 @@
 //! threads (`std::thread::scope` — the workspace is offline, no rayon)
 //! while keeping the results *bit-for-bit deterministic*: each
 //! repetition derives its seed from `config.seed` and its index exactly
-//! as the serial loop always has, workers pull indices from a shared
-//! counter, and a reorder buffer merges outcomes back in repetition
-//! order before any statistic is touched. Any job count therefore
-//! produces a [`SweepResult`] identical to the serial sweep's for the
-//! same configuration.
+//! as the serial loop always has, and every outcome folds through one
+//! [`MergeState`], whose reorder buffer merges outcomes back in
+//! repetition order before any statistic is touched. Any job count
+//! therefore produces a [`SweepResult`] identical to the serial sweep's
+//! for the same configuration.
+//!
+//! [`MergeState`] is the only merge in the workspace: the shard
+//! coordinator folds worker-reported outcomes through it, checkpoints
+//! freeze it, and [`SweepRunner::run_owed`] — the only in-process
+//! executor — runs whatever repetitions a (possibly resumed) merge still
+//! owes.
 //!
 //! For huge campaigns, [`SweepRunner::retain_reports`]`(false)` runs each
 //! repetition through the stats-only post-step
@@ -30,8 +36,8 @@ use crate::scenario::{CompiledScenario, Scenario};
 use crate::work::PreparedFlag;
 use flagsim_agents::StudentProfile;
 use flagsim_metrics::{RunStats, StreamingStats};
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use flagsim_telemetry::SpanId;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Mutex, OnceLock};
 
 /// One repetition of a sweep that failed to produce a report.
@@ -251,29 +257,13 @@ impl<'a> SweepRunner<'a> {
         let sweep_span = flagsim_telemetry::span("sim", "sweep")
             .arg("scenario", &self.scenario.name)
             .arg("reps", self.reps);
-        let sweep_id = sweep_span.id();
-        let mut collector = Collector::new(self.retain_reports, self.reps);
-        let jobs = self.jobs.clamp(1, self.reps as usize);
-        flagsim_telemetry::gauge_set("sweep.jobs", jobs as f64);
-        if jobs == 1 {
-            for rep in 0..self.reps {
-                let rep_span =
-                    flagsim_telemetry::span_linked("sim", "sweep.rep", sweep_id).arg("rep", rep);
-                let outcome = self.run_kept(rep);
-                drop(rep_span);
-                collector.accept(rep, outcome);
-                let mut p = collector.snapshot();
-                p.rep = rep;
-                self.emit(p);
-            }
-        } else {
-            self.run_parallel(jobs, sweep_id, &mut collector);
+        let mut merge = MergeState::new(self.reps);
+        if self.retain_reports {
+            merge.reports = Some((0..self.reps).map(|_| None).collect());
         }
-        let snap = collector.snapshot();
-        flagsim_telemetry::count("sweep.reps_completed", snap.completed);
-        flagsim_telemetry::count("sweep.failures", snap.failed);
+        self.drive(&mut merge, |_| true, sweep_span.id());
         drop(sweep_span);
-        collector.finish(self.reps)
+        merge.finish()
     }
 
     /// One repetition's full report: fresh team, derived seed — the
@@ -337,7 +327,7 @@ impl<'a> SweepRunner<'a> {
 
     /// One repetition in the outcome the sweep keeps: the report with
     /// its stats when reports are retained, the stats alone otherwise.
-    fn run_kept(&self, rep: u64) -> Result<(RepStats, Option<RunReport>), String> {
+    fn run_kept(&self, rep: u64) -> Kept {
         if self.retain_reports {
             let report = self.run_rep(rep)?;
             Ok((report.stats(), Some(report)))
@@ -346,72 +336,101 @@ impl<'a> SweepRunner<'a> {
         }
     }
 
-    /// Fan repetitions across `jobs` scoped worker threads. Workers pull
-    /// the next repetition index from a shared atomic counter and push
-    /// outcomes into a reorder buffer; outcomes are drained into the
-    /// collector strictly in repetition order, so the merged result is
-    /// identical to the serial loop's no matter how threads interleave.
-    /// The buffer holds at most ~`jobs` outcomes at a time, keeping the
-    /// streaming path's memory bounded by the job count, not the
-    /// repetition count.
-    fn run_parallel(
+    /// Run every repetition `merge` still owes (its
+    /// [`MergeState::missing_ranges`]) on the runner's
+    /// [`jobs`](SweepRunner::jobs) — scoped threads, or the calling
+    /// thread at one job — and fold each outcome into `merge`. This is
+    /// the only in-process executor: [`SweepRunner::run`] is a fresh
+    /// merge driven to completion, and the shard coordinator drives a
+    /// resumed or degraded campaign's merge through it.
+    ///
+    /// Before each claim — so after each fold — `keep_going` sees the
+    /// merge under its lock and decides whether to hand out another
+    /// repetition: the place for checkpoint cadence, a halt or a
+    /// deadline. Once it says no, workers fold the repetition in hand
+    /// and stop; the call returns when none is left running.
+    pub fn run_owed(
         &self,
-        jobs: usize,
-        sweep_id: Option<flagsim_telemetry::SpanId>,
-        collector: &mut Collector,
+        merge: &mut MergeState,
+        keep_going: impl FnMut(&MergeState) -> bool + Send,
     ) {
-        struct Reorder<'c> {
-            pending: BTreeMap<u64, Result<(RepStats, Option<RunReport>), String>>,
-            next_emit: u64,
-            collector: &'c mut Collector,
-        }
-        let next_rep = AtomicU64::new(0);
-        let shared = Mutex::new(Reorder {
-            pending: BTreeMap::new(),
-            next_emit: 0,
-            collector,
+        self.drive(merge, keep_going, None);
+    }
+
+    /// [`SweepRunner::run_owed`], with rep and worker spans linked to
+    /// the sweep span `sweep_id` when there is one.
+    fn drive(
+        &self,
+        merge: &mut MergeState,
+        keep_going: impl FnMut(&MergeState) -> bool + Send,
+        sweep_id: Option<SpanId>,
+    ) {
+        let ranges = VecDeque::from(merge.missing_ranges());
+        let owed: u64 = ranges.iter().map(|(start, end)| end - start).sum();
+        let jobs = self.jobs.clamp(1, owed.max(1) as usize);
+        flagsim_telemetry::gauge_set("sweep.jobs", jobs as f64);
+        let owed = Mutex::new(Owed {
+            merge,
+            keep_going,
+            ranges,
         });
+        if jobs == 1 {
+            self.work(0, &owed, sweep_id);
+            return;
+        }
         std::thread::scope(|scope| {
-            let next_rep = &next_rep;
-            let shared = &shared;
+            let owed = &owed;
             for w in 0..jobs {
                 scope.spawn(move || {
                     flagsim_telemetry::set_thread_track(&format!("worker-{w}"));
-                    let worker_span =
-                        flagsim_telemetry::span_linked("runtime", "sweep.worker", sweep_id)
-                            .arg("worker", w);
-                    loop {
-                        let rep = next_rep.fetch_add(1, Ordering::Relaxed);
-                        if rep >= self.reps {
-                            break;
-                        }
-                        let rep_span =
-                            flagsim_telemetry::span_linked("sim", "sweep.rep", sweep_id)
-                                .arg("rep", rep);
-                        let outcome = self.run_kept(rep);
-                        drop(rep_span);
-                        let snapshot = {
-                            let mut guard = shared.lock().expect("no worker panicked mid-merge");
-                            let s = &mut *guard;
-                            s.pending.insert(rep, outcome);
-                            while let Some(ready) = s.pending.remove(&s.next_emit) {
-                                s.collector.accept(s.next_emit, ready);
-                                s.next_emit += 1;
-                            }
-                            let mut p = s.collector.snapshot();
-                            p.worker = w;
-                            p.rep = rep;
-                            p
-                        };
-                        // Callback outside the lock: a slow observer must
-                        // not serialize the workers.
-                        self.emit(snapshot);
-                    }
+                    let worker_span = sweep_id.map(|id| {
+                        flagsim_telemetry::span_linked("runtime", "sweep.worker", Some(id))
+                            .arg("worker", w)
+                    });
+                    self.work(w, owed, sweep_id);
                     drop(worker_span);
                     flagsim_telemetry::flush_thread();
                 });
             }
         });
+    }
+
+    /// One worker's loop: under the lock, fold the repetition just run
+    /// and claim the next; run it outside the lock. Progress is
+    /// reported outside the lock too, so a slow observer cannot
+    /// serialize the workers.
+    fn work<K>(&self, worker: usize, owed: &Mutex<Owed<'_, K>>, sweep_id: Option<SpanId>)
+    where
+        K: FnMut(&MergeState) -> bool,
+    {
+        let mut finished: Option<(u64, Kept)> = None;
+        loop {
+            let (progress, next) = {
+                let mut owed = owed.lock().expect("no worker panicked mid-merge");
+                let progress = finished.take().map(|(rep, outcome)| {
+                    let merge = &mut *owed.merge;
+                    merge.fold(rep, outcome);
+                    SweepProgress {
+                        completed: merge.next_emit,
+                        failed: merge.failures.len() as u64,
+                        total: merge.total,
+                        worker,
+                        rep,
+                    }
+                });
+                (progress, owed.claim())
+            };
+            if let Some(p) = progress {
+                self.emit(p);
+            }
+            let Some(rep) = next else { return };
+            let rep_span = sweep_id.map(|id| {
+                flagsim_telemetry::span_linked("sim", "sweep.rep", Some(id)).arg("rep", rep)
+            });
+            let outcome = self.run_kept(rep);
+            drop(rep_span);
+            finished = Some((rep, outcome));
+        }
     }
 
     fn emit(&self, progress: SweepProgress) {
@@ -421,57 +440,177 @@ impl<'a> SweepRunner<'a> {
     }
 }
 
-/// Order-respecting accumulator shared by the serial and parallel
-/// paths. In retained mode it rebuilds exactly what the historical
-/// serial sweep built; in streaming mode it keeps only the
-/// [`StreamingStats`] accumulators.
-struct Collector {
-    retain: bool,
-    reports: Vec<RunReport>,
-    completions: Vec<f64>,
-    waits: Vec<f64>,
-    completion_stream: StreamingStats,
-    waiting_stream: StreamingStats,
-    failures: Vec<SweepFailure>,
-    completed: u64,
-    total: u64,
+/// What a worker hands the merge: the rep's stats and, in a retained
+/// sweep, its report — or the run's error.
+type Kept = Result<(RepStats, Option<RunReport>), String>;
+
+/// The state the executor's workers share under one lock: the merge,
+/// the caller's stop hook, and the repetitions not yet claimed.
+struct Owed<'m, K> {
+    merge: &'m mut MergeState,
+    keep_going: K,
+    ranges: VecDeque<(u64, u64)>,
 }
 
-impl Collector {
-    fn new(retain: bool, total: u64) -> Self {
-        Collector {
-            retain,
-            reports: Vec::new(),
-            completions: Vec::new(),
-            waits: Vec::new(),
-            completion_stream: StreamingStats::new(),
-            waiting_stream: StreamingStats::new(),
-            failures: Vec::new(),
-            completed: 0,
+impl<K: FnMut(&MergeState) -> bool> Owed<'_, K> {
+    /// Ask the hook, then hand out the next owed repetition, if any.
+    fn claim(&mut self) -> Option<u64> {
+        if !(self.keep_going)(self.merge) {
+            return None;
+        }
+        let range = self.ranges.front_mut()?;
+        let rep = range.0;
+        range.0 += 1;
+        if range.0 == range.1 {
+            self.ranges.pop_front();
+        }
+        Some(rep)
+    }
+}
+
+/// One repetition's outcome, reduced to what the statistics need — what
+/// a shard worker reports over the wire and a checkpoint parks behind a
+/// gap.
+#[derive(Debug, Clone, PartialEq)]
+pub enum RepOutcome {
+    /// The run succeeded; the two swept metrics, bit-exact.
+    Ok {
+        /// Completion time in seconds.
+        completion: f64,
+        /// Total waiting time in seconds.
+        waiting: f64,
+    },
+    /// The run failed (recorded, not fatal).
+    Failed {
+        /// The error string the run reported.
+        error: String,
+    },
+}
+
+/// The outcome of a stats-only rep ([`SweepRunner::run_rep_stats`]).
+impl From<Result<RepStats, String>> for RepOutcome {
+    fn from(stats: Result<RepStats, String>) -> RepOutcome {
+        match stats {
+            Ok(s) => RepOutcome::Ok {
+                completion: s.completion_secs,
+                waiting: s.wait_secs,
+            },
+            Err(error) => RepOutcome::Failed { error },
+        }
+    }
+}
+
+/// The one merge: an order-restoring accumulator over per-rep outcomes.
+///
+/// Outcomes arrive keyed by repetition index, in whatever order threads
+/// or remote workers finish them, park in a reorder buffer, and fold
+/// into the accumulators strictly in repetition order.
+/// [`StreamingStats`] is order-sensitive (its exact sum, Welford
+/// recurrence and P² markers all round differently under reordering),
+/// so this is what makes the statistics bit-for-bit those of a serial
+/// sweep at any thread or worker count, with any failure, reassignment
+/// or resume history. Duplicate deliveries (a rep re-run because its
+/// first worker died after reporting it, or replayed from a
+/// checkpoint's pending set) are dropped: merging is idempotent per
+/// repetition index.
+///
+/// Each merged success feeds the live `sweep.completion.*` gauges the
+/// dashboard reads; each merged failure logs a `core.sweep` warning.
+#[derive(Debug, Clone)]
+pub struct MergeState {
+    total: u64,
+    next_emit: u64,
+    pending: BTreeMap<u64, RepOutcome>,
+    completion: StreamingStats,
+    waiting: StreamingStats,
+    failures: Vec<SweepFailure>,
+    /// A retained sweep's reports, one slot per repetition. A retained
+    /// sweep holds O(reps) reports anyway, so slots indexed by rep put
+    /// them back in order without a second reorder buffer.
+    reports: Option<Vec<Option<RunReport>>>,
+}
+
+impl MergeState {
+    /// An empty merge over `total` repetitions.
+    pub fn new(total: u64) -> Self {
+        MergeState {
             total,
+            next_emit: 0,
+            pending: BTreeMap::new(),
+            completion: StreamingStats::new(),
+            waiting: StreamingStats::new(),
+            failures: Vec::new(),
+            reports: None,
         }
     }
 
-    /// Fold in one repetition's outcome. Must be called in repetition
-    /// order — the reorder buffer guarantees it on the parallel path.
-    /// The streaming accumulators run even in retained mode: they are
-    /// O(1) per repetition and feed the live `sweep.completion.*`
-    /// gauges the dashboard reads mid-sweep.
-    fn accept(&mut self, rep: u64, outcome: Result<(RepStats, Option<RunReport>), String>) {
-        self.completed += 1;
+    /// Rebuild a merge mid-campaign: accumulators and failures restored
+    /// from a checkpoint, watermark at `next_emit`, plus any
+    /// completed-but-unmerged outcomes (they re-enter the reorder
+    /// buffer and merge as soon as the gap before them closes).
+    pub fn restore(
+        total: u64,
+        next_emit: u64,
+        completion: StreamingStats,
+        waiting: StreamingStats,
+        failures: Vec<SweepFailure>,
+        pending: Vec<(u64, RepOutcome)>,
+    ) -> Self {
+        let mut m = MergeState {
+            next_emit,
+            completion,
+            waiting,
+            failures,
+            ..MergeState::new(total)
+        };
+        for (rep, outcome) in pending {
+            m.accept(rep, outcome);
+        }
+        m
+    }
+
+    /// Fold in one repetition's outcome. Outcomes for already-merged or
+    /// already-buffered reps are ignored (idempotent).
+    pub fn accept(&mut self, rep: u64, outcome: RepOutcome) {
+        if rep < self.next_emit || rep >= self.total {
+            return;
+        }
+        if rep > self.next_emit {
+            self.pending.entry(rep).or_insert(outcome);
+            return;
+        }
+        self.merge_next(outcome);
+        while let Some(ready) = self.pending.remove(&self.next_emit) {
+            self.merge_next(ready);
+        }
+    }
+
+    /// Fold what a local worker kept: the report into its slot (in a
+    /// retained sweep), the stats or the error into the merge.
+    fn fold(&mut self, rep: u64, kept: Kept) {
+        let stats = kept.map(|(stats, report)| {
+            let slot = self
+                .reports
+                .as_mut()
+                .and_then(|slots| slots.get_mut(rep as usize));
+            if let (Some(slot), Some(report)) = (slot, report) {
+                *slot = Some(report);
+            }
+            stats
+        });
+        self.accept(rep, stats.into());
+    }
+
+    fn merge_next(&mut self, outcome: RepOutcome) {
         match outcome {
-            Ok((stats, report)) => {
-                let completion = stats.completion_secs;
-                let wait = stats.wait_secs;
-                self.completion_stream.push(completion);
-                self.waiting_stream.push(wait);
-                if let Some(report) = report {
-                    self.completions.push(completion);
-                    self.waits.push(wait);
-                    self.reports.push(report);
-                }
+            RepOutcome::Ok {
+                completion,
+                waiting,
+            } => {
+                self.completion.push(completion);
+                self.waiting.push(waiting);
                 if flagsim_telemetry::enabled() {
-                    let stats = self.completion_stream.to_stats();
+                    let stats = self.completion.to_stats();
                     flagsim_telemetry::gauge_set("sweep.completion.mean_s", stats.mean);
                     flagsim_telemetry::gauge_set(
                         "sweep.completion.ci95_s",
@@ -480,52 +619,110 @@ impl Collector {
                     flagsim_telemetry::observe("sweep.completion_secs", completion);
                 }
             }
-            Err(error) => {
+            RepOutcome::Failed { error } => {
                 flagsim_telemetry::log::warn(
                     "core.sweep",
                     "repetition failed",
-                    &[("rep", rep.to_string()), ("error", error.clone())],
+                    &[
+                        ("rep", self.next_emit.to_string()),
+                        ("error", error.clone()),
+                    ],
                 );
-                self.failures.push(SweepFailure { rep, error });
+                self.failures.push(SweepFailure {
+                    rep: self.next_emit,
+                    error,
+                });
             }
         }
+        self.next_emit += 1;
     }
 
-    fn snapshot(&self) -> SweepProgress {
-        SweepProgress {
-            completed: self.completed,
-            failed: self.failures.len() as u64,
-            total: self.total,
-            worker: 0,
-            rep: self.completed.saturating_sub(1),
-        }
+    /// Repetitions merged so far — the checkpoint watermark: every rep
+    /// below it is folded into the accumulators, every rep at or above
+    /// it is either buffered in [`MergeState::pending_outcomes`] or
+    /// still owed.
+    pub fn merged(&self) -> u64 {
+        self.next_emit
     }
 
-    fn finish(self, reps: u64) -> Result<SweepResult, SweepError> {
-        let successes = if self.retain {
-            self.completions.len() as u64
-        } else {
-            self.completion_stream.n()
-        };
-        if successes == 0 {
-            let first = self.failures.into_iter().next().expect("reps > 0");
-            return Err(SweepError::AllFailed { reps, first });
+    /// Total repetitions in the campaign.
+    pub fn total(&self) -> u64 {
+        self.total
+    }
+
+    /// Whether every repetition has merged.
+    pub fn is_complete(&self) -> bool {
+        self.next_emit == self.total
+    }
+
+    /// The completed-but-unmerged outcomes (reps above the watermark
+    /// with gaps before them), for checkpointing.
+    pub fn pending_outcomes(&self) -> Vec<(u64, RepOutcome)> {
+        self.pending.iter().map(|(r, o)| (*r, o.clone())).collect()
+    }
+
+    /// The repetition indices in `[merged(), total())` that are *not*
+    /// sitting in the reorder buffer — the work a resumed campaign still
+    /// owes. Returned as maximal contiguous ranges.
+    pub fn missing_ranges(&self) -> Vec<(u64, u64)> {
+        let mut out = Vec::new();
+        let mut cursor = self.next_emit;
+        for &rep in self.pending.keys() {
+            if rep > cursor {
+                out.push((cursor, rep));
+            }
+            cursor = rep + 1;
         }
-        let (completion, waiting) = if self.retain {
-            (
-                RunStats::from_sample(&self.completions),
-                RunStats::from_sample(&self.waits),
-            )
+        if cursor < self.total {
+            out.push((cursor, self.total));
+        }
+        out
+    }
+
+    /// Borrow the accumulators (for checkpointing).
+    pub fn accumulators(&self) -> (&StreamingStats, &StreamingStats) {
+        (&self.completion, &self.waiting)
+    }
+
+    /// Recorded per-rep failures, in repetition order.
+    pub fn failures(&self) -> &[SweepFailure] {
+        &self.failures
+    }
+
+    /// Freeze into the sweep's result. A retained sweep's statistics
+    /// are exact, over its reports in repetition order; a streaming
+    /// one's come from the accumulators. Errors when no repetition
+    /// succeeded.
+    pub fn finish(self) -> Result<SweepResult, SweepError> {
+        flagsim_telemetry::count("sweep.reps_completed", self.next_emit);
+        flagsim_telemetry::count("sweep.failures", self.failures.len() as u64);
+        if self.completion.n() == 0 {
+            return Err(match self.failures.into_iter().next() {
+                Some(first) => SweepError::AllFailed {
+                    reps: self.total,
+                    first,
+                },
+                None => SweepError::NoRepetitions,
+            });
+        }
+        // A retained sweep keeps a report per success, so at least one.
+        let reports: Vec<RunReport> = self.reports.into_iter().flatten().flatten().collect();
+        let (completion, waiting) = if reports.is_empty() {
+            (self.completion.to_stats(), self.waiting.to_stats())
         } else {
+            let (completions, waits): (Vec<f64>, Vec<f64>) = reports
+                .iter()
+                .map(|r| (r.completion_secs(), r.total_wait_secs()))
+                .unzip();
             (
-                self.completion_stream.to_stats(),
-                self.waiting_stream.to_stats(),
+                RunStats::from_sample(&completions),
+                RunStats::from_sample(&waits),
             )
         };
         Ok(SweepResult {
             completion,
             waiting,
-            reports: self.reports,
+            reports,
             failures: self.failures,
         })
     }
@@ -721,5 +918,136 @@ mod tests {
             .to_string();
         assert!(err.contains("all 4 repetitions failed"), "{err}");
         assert!(err.contains("rep 0"), "{err}");
+    }
+
+    #[test]
+    fn run_owed_finishes_a_partly_merged_sweep_and_stops_on_request() {
+        let (flag, kit) = mauritius_setup();
+        let cfg = ActivityConfig::default().with_seed(23);
+        let scenario = Scenario::fig1(4);
+        for jobs in [1, 3] {
+            let runner = SweepRunner::new(&scenario, &flag, &kit, &cfg)
+                .team_size(4)
+                .reps(12)
+                .jobs(jobs)
+                .retain_reports(false);
+            let whole = runner.run().unwrap();
+            // Halt once five reps have merged, then resume the same merge.
+            let mut merge = MergeState::new(12);
+            runner.run_owed(&mut merge, |m| m.merged() < 5);
+            assert!(merge.merged() >= 5 && !merge.is_complete(), "jobs={jobs}");
+            runner.run_owed(&mut merge, |_| true);
+            let resumed = merge.finish().unwrap();
+            assert_eq!(resumed.completion, whole.completion, "jobs={jobs}");
+            assert_eq!(resumed.waiting, whole.waiting, "jobs={jobs}");
+        }
+    }
+
+    fn ok(x: f64) -> RepOutcome {
+        RepOutcome::Ok { completion: x, waiting: x / 2.0 }
+    }
+
+    #[test]
+    fn out_of_order_delivery_matches_in_order() {
+        let xs: Vec<f64> = (0..40).map(|i| (i * 37 % 23) as f64 + 0.25).collect();
+        let mut serial = MergeState::new(40);
+        for (i, &x) in xs.iter().enumerate() {
+            serial.accept(i as u64, ok(x));
+        }
+        // A scrambled order (deterministic permutation).
+        let mut scrambled = MergeState::new(40);
+        let mut order: Vec<u64> = (0..40).collect();
+        order.reverse();
+        order.swap(3, 31);
+        order.swap(0, 17);
+        for &i in &order {
+            scrambled.accept(i, ok(xs[i as usize]));
+        }
+        assert!(serial.is_complete() && scrambled.is_complete());
+        let a = serial.finish().unwrap().completion;
+        let b = scrambled.finish().unwrap().completion;
+        assert_eq!(a.mean.to_bits(), b.mean.to_bits());
+        assert_eq!(a.stddev.to_bits(), b.stddev.to_bits());
+        assert_eq!(a.median.to_bits(), b.median.to_bits());
+    }
+
+    #[test]
+    fn duplicates_are_dropped() {
+        let mut m = MergeState::new(3);
+        m.accept(0, ok(1.0));
+        m.accept(0, ok(999.0)); // late duplicate of a merged rep
+        m.accept(2, ok(3.0));
+        m.accept(2, ok(888.0)); // duplicate of a buffered rep
+        m.accept(1, ok(2.0));
+        let stats = m.finish().unwrap().completion;
+        assert_eq!(stats.n, 3);
+        assert_eq!(stats.max, 3.0, "duplicates must not leak into stats");
+    }
+
+    #[test]
+    fn missing_ranges_account_for_buffered_reps() {
+        let mut m = MergeState::new(10);
+        m.accept(0, ok(1.0));
+        m.accept(4, ok(1.0));
+        m.accept(5, ok(1.0));
+        m.accept(8, ok(1.0));
+        assert_eq!(m.merged(), 1);
+        assert_eq!(m.missing_ranges(), vec![(1, 4), (6, 8), (9, 10)]);
+        assert_eq!(m.pending_outcomes().len(), 3);
+    }
+
+    #[test]
+    fn failures_record_without_sinking_stats() {
+        let mut m = MergeState::new(3);
+        m.accept(0, ok(1.0));
+        m.accept(1, RepOutcome::Failed { error: "rope snapped".into() });
+        m.accept(2, ok(2.0));
+        assert_eq!(m.failures().len(), 1);
+        assert_eq!(m.failures()[0].rep, 1);
+        let result = m.finish().unwrap();
+        assert_eq!(result.completion.n, 2);
+        assert_eq!(result.failures.len(), 1);
+    }
+
+    #[test]
+    fn all_failed_is_an_error() {
+        let mut m = MergeState::new(2);
+        m.accept(0, RepOutcome::Failed { error: "a".into() });
+        m.accept(1, RepOutcome::Failed { error: "b".into() });
+        let err = m.finish().unwrap_err().to_string();
+        assert!(err.contains("all 2 repetitions failed"), "{err}");
+        assert!(err.contains("rep 0"), "{err}");
+    }
+
+    #[test]
+    fn restore_replays_pending_into_the_buffer() {
+        let mut whole = MergeState::new(6);
+        for i in 0..6 {
+            whole.accept(i, ok(i as f64));
+        }
+        // Simulate a checkpoint at watermark 2 with reps 4,5 pending.
+        let mut head = MergeState::new(6);
+        head.accept(0, ok(0.0));
+        head.accept(1, ok(1.0));
+        head.accept(4, ok(4.0));
+        head.accept(5, ok(5.0));
+        let (c, w) = head.accumulators();
+        let mut resumed = MergeState::restore(
+            6,
+            head.merged(),
+            c.clone(),
+            w.clone(),
+            head.failures().to_vec(),
+            head.pending_outcomes(),
+        );
+        assert_eq!(resumed.missing_ranges(), vec![(2, 4)]);
+        resumed.accept(2, ok(2.0));
+        resumed.accept(3, ok(3.0));
+        assert!(resumed.is_complete());
+        let a = resumed.finish().unwrap();
+        let b = whole.finish().unwrap();
+        assert_eq!(a.completion.mean.to_bits(), b.completion.mean.to_bits());
+        assert_eq!(a.completion.stddev.to_bits(), b.completion.stddev.to_bits());
+        assert_eq!(a.waiting.mean.to_bits(), b.waiting.mean.to_bits());
     }
 }

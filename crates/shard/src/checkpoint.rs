@@ -1,17 +1,20 @@
 //! Durable sweep checkpoints: kill the process, resume the campaign,
 //! finish with bit-identical statistics.
 //!
-//! A checkpoint is the coordinator's merge state frozen to JSON: the
-//! job's canonical spec and fingerprint, the merged-rep *watermark*,
-//! exact bit-level [`StreamingStats`](flagsim_metrics::StreamingStats)
-//! snapshots of both accumulators (every float as IEEE-754 hex bits —
-//! see `metrics::streaming`), the recorded per-rep failures, and any
+//! A checkpoint is the coordinator's merge state — core's one
+//! [`MergeState`], which every in-process, sharded and resumed sweep
+//! folds through — frozen to JSON: the job's canonical spec and
+//! fingerprint, the merged-rep *watermark*, exact bit-level
+//! [`StreamingStats`](flagsim_metrics::StreamingStats) snapshots of both
+//! accumulators (every float as IEEE-754 hex bits — see
+//! `metrics::streaming`), the recorded per-rep failures, and any
 //! completed-but-unmerged repetitions still parked in the reorder
 //! buffer. Restoring replays the pending set into a fresh
 //! [`MergeState`], so the resumed campaign owes exactly the reps the
-//! killed one never finished, and the accumulators continue from the
-//! same internal state they would have had — which is what makes
-//! resume-after-kill equal an uninterrupted run bit for bit.
+//! killed one never finished (its `missing_ranges`, which the
+//! coordinator leases out or runs in-process), and the accumulators
+//! continue from the same internal state they would have had — which is
+//! what makes resume-after-kill equal an uninterrupted run bit for bit.
 //!
 //! Files are written atomically (temp file + rename) so a kill *during*
 //! a checkpoint write leaves the previous checkpoint intact, and
@@ -19,10 +22,10 @@
 //! match their own job spec (truncation, tampering, or a spec edit).
 
 use crate::job::JobSpec;
-use crate::merge::{MergeState, RepOutcome};
-use flagsim_core::sweep::SweepFailure;
+use crate::wire::{read_outcome, write_outcome};
+use flagsim_core::sweep::{MergeState, RepOutcome, SweepFailure};
 use flagsim_metrics::StreamingStats;
-use flagsim_telemetry::json::{self, f64_bits_hex, f64_from_bits_hex, json_string, Value};
+use flagsim_telemetry::json::{self, json_string, Value};
 use std::fmt::Write as _;
 use std::fs;
 use std::io;
@@ -104,23 +107,9 @@ impl Checkpoint {
             if i > 0 {
                 out.push(',');
             }
-            match outcome {
-                RepOutcome::Ok { completion, waiting } => {
-                    let _ = write!(
-                        out,
-                        "{{\"rep\":\"{rep}\",\"ok\":true,\"completion\":\"{}\",\"waiting\":\"{}\"}}",
-                        f64_bits_hex(*completion),
-                        f64_bits_hex(*waiting)
-                    );
-                }
-                RepOutcome::Failed { error } => {
-                    let _ = write!(
-                        out,
-                        "{{\"rep\":\"{rep}\",\"ok\":false,\"error\":{}}}",
-                        json_string(error)
-                    );
-                }
-            }
+            out.push('{');
+            write_outcome(&mut out, *rep, outcome);
+            out.push('}');
         }
         out.push_str("]}");
         out
@@ -194,37 +183,7 @@ impl Checkpoint {
             .and_then(Value::as_array)
             .ok_or("checkpoint: missing pending")?
         {
-            let rep = p
-                .get("rep")
-                .and_then(Value::as_str)
-                .ok_or("checkpoint: pending entry missing rep")?
-                .parse::<u64>()
-                .map_err(|_| "checkpoint: pending rep is not a u64")?;
-            let ok = match p.get("ok") {
-                Some(Value::Bool(b)) => *b,
-                _ => return Err("checkpoint: pending entry missing bool \"ok\"".into()),
-            };
-            let outcome = if ok {
-                let bits = |key: &str| -> Result<f64, String> {
-                    p.get(key)
-                        .and_then(Value::as_str)
-                        .ok_or_else(|| format!("checkpoint: pending entry missing {key:?}"))
-                        .and_then(f64_from_bits_hex)
-                };
-                RepOutcome::Ok {
-                    completion: bits("completion")?,
-                    waiting: bits("waiting")?,
-                }
-            } else {
-                RepOutcome::Failed {
-                    error: p
-                        .get("error")
-                        .and_then(Value::as_str)
-                        .ok_or("checkpoint: pending entry missing error")?
-                        .to_owned(),
-                }
-            };
-            pending.push((rep, outcome));
+            pending.push(read_outcome(p, "checkpoint: pending entry")?);
         }
         Ok(Checkpoint {
             job,
@@ -320,8 +279,8 @@ mod tests {
             }
         }
         assert!(resumed.is_complete());
-        let (a, aw) = resumed.finish().unwrap();
-        let (b, bw) = whole.finish().unwrap();
+        let (a, aw) = resumed.finish().map(|r| (r.completion, r.waiting)).unwrap();
+        let (b, bw) = whole.finish().map(|r| (r.completion, r.waiting)).unwrap();
         for (x, y) in [
             (a.mean, b.mean),
             (a.stddev, b.stddev),

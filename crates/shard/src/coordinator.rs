@@ -2,9 +2,9 @@
 //! their deaths, and land the exact serial answer.
 //!
 //! One OS thread per endpoint runs the connect → hello → lease loop,
-//! feeding every reported repetition through the shared [`MergeState`];
-//! the main thread supervises heartbeat deadlines, the wall-clock
-//! budget, and the checkpoint cadence. Failure handling is layered:
+//! feeding every reported repetition through the shared [`MergeState`]
+//! (core's one merge); the main thread supervises heartbeat deadlines
+//! and the wall-clock budget. Failure handling is layered:
 //!
 //! 1. connect failures back off exponentially with an attempt budget;
 //! 2. a session that errors or goes silent past the heartbeat timeout
@@ -14,22 +14,24 @@
 //!    (bounded by the same attempt budget);
 //! 4. when every endpoint thread has given up and work remains, the
 //!    coordinator degrades to running the missing repetitions
-//!    in-process — same [`run_rep_stats`], same answer, no cluster.
+//!    in-process — same merge, same answer, no cluster.
 //!
-//! [`run_rep_stats`]: flagsim_core::sweep::SweepRunner::run_rep_stats
+//! In-process work — a campaign with no endpoints, which is how
+//! `--checkpoint`/`--resume`/`--max-wall-secs` work without any
+//! workers, and the degradation path — runs on core's only executor,
+//! [`SweepRunner::run_owed`], over whatever the merge still owes. Every
+//! fold, local or remote, runs one hook under the state lock: the
+//! checkpoint cadence, the `halt_after_reps` kill simulation, the
+//! wall-clock deadline, and the fleet view's merged/failed counts.
 //!
-//! The same code path runs pure in-process sweeps (no endpoints), which
-//! is how `--checkpoint`/`--resume`/`--max-wall-secs` work without any
-//! workers at all.
+//! [`SweepRunner::run_owed`]: flagsim_core::sweep::SweepRunner::run_owed
 
 use crate::checkpoint::Checkpoint;
 use crate::fleet::ObsHub;
 use crate::job::{JobSpec, MaterializedJob};
 use crate::lease::{LeaseConfig, LeaseGrant, LeaseTable, WorkerId};
-use crate::merge::{MergeState, RepOutcome};
 use crate::wire::{self, Message, TelemetryBatch, TraceConfig, PROTOCOL_VERSION};
-use flagsim_core::sweep::SweepFailure;
-use flagsim_metrics::RunStats;
+use flagsim_core::sweep::{MergeState, SweepResult};
 use flagsim_telemetry::log;
 use std::collections::BTreeMap;
 use std::io::{BufReader, BufWriter};
@@ -106,25 +108,12 @@ pub fn campaign_id(job: &JobSpec) -> String {
     job.fingerprint()
 }
 
-/// Summary statistics of a completed campaign — bit-identical to what
-/// the serial streaming sweep would report.
-#[derive(Debug, Clone)]
-pub struct ShardResult {
-    /// Completion-time statistics.
-    pub completion: RunStats,
-    /// Waiting-time statistics.
-    pub waiting: RunStats,
-    /// Per-rep failures (recorded, not fatal).
-    pub failures: Vec<SweepFailure>,
-    /// Total repetitions merged (equals the job's rep count).
-    pub reps: u64,
-}
-
 /// How a campaign ended.
 #[derive(Debug)]
 pub enum ShardOutcome {
-    /// Every repetition merged.
-    Completed(ShardResult),
+    /// Every repetition merged. The statistics are bit-for-bit those of
+    /// the serial streaming sweep (no reports are retained).
+    Completed(SweepResult),
     /// The wall-clock budget expired first; a checkpoint (if configured)
     /// holds the progress.
     DeadlineExpired {
@@ -146,10 +135,58 @@ pub enum ShardOutcome {
 struct Shared {
     table: LeaseTable,
     merge: MergeState,
+    control: Control,
+}
+
+/// What the coordinator tracks next to the merge: the last checkpoint's
+/// watermark, and why (if at all) the campaign is stopping.
+struct Control {
     last_ckpt: u64,
     halted: bool,
     deadline_hit: bool,
     fatal: Option<String>,
+}
+
+impl Control {
+    /// The campaign hook, run under the state lock after every remote
+    /// fold, before every local claim and on every supervisor tick:
+    /// checkpoint cadence, the halt hook, the wall-clock deadline, and
+    /// the fleet view's merged/failed counts. Returns whether the
+    /// campaign should keep going.
+    fn keep_going(
+        &mut self,
+        merge: &MergeState,
+        job: &JobSpec,
+        cfg: &CoordinatorConfig,
+        start: Instant,
+    ) -> bool {
+        if let (Some(path), true) = (&cfg.checkpoint_path, cfg.checkpoint_every > 0) {
+            if merge.merged().saturating_sub(self.last_ckpt) >= cfg.checkpoint_every {
+                match Checkpoint::from_merge(job, merge).save(path) {
+                    Ok(()) => self.last_ckpt = merge.merged(),
+                    Err(e) => self.fatal = Some(format!("checkpoint save failed: {e}")),
+                }
+            }
+        }
+        if cfg.halt_after_reps.is_some_and(|n| merge.merged() >= n) {
+            self.halted = true;
+        }
+        if cfg.max_wall.is_some_and(|budget| start.elapsed() >= budget) && !merge.is_complete() {
+            self.deadline_hit = true;
+        }
+        show_merge(cfg, merge);
+        !(self.halted || self.deadline_hit || self.fatal.is_some())
+    }
+}
+
+/// Publish the merge's progress into the fleet view, if there is one.
+fn show_merge(cfg: &CoordinatorConfig, merge: &MergeState) {
+    if let Some(hub) = &cfg.obs {
+        hub.with(|fv| {
+            fv.merged = merge.merged();
+            fv.failed = merge.failures().len() as u64;
+        });
+    }
 }
 
 fn now_ms(start: Instant) -> u64 {
@@ -158,29 +195,6 @@ fn now_ms(start: Instant) -> u64 {
 
 fn lock(shared: &Mutex<Shared>) -> std::sync::MutexGuard<'_, Shared> {
     shared.lock().expect("shard state lock poisoned")
-}
-
-/// Fold one outcome into the merge, honoring checkpoint cadence and the
-/// halt hook. Call with the state lock held.
-fn record(sh: &mut Shared, job: &JobSpec, cfg: &CoordinatorConfig, rep: u64, outcome: RepOutcome) {
-    sh.merge.accept(rep, outcome);
-    if let (Some(path), true) = (&cfg.checkpoint_path, cfg.checkpoint_every > 0) {
-        if sh.merge.merged().saturating_sub(sh.last_ckpt) >= cfg.checkpoint_every {
-            match Checkpoint::from_merge(job, &sh.merge).save(path) {
-                Ok(()) => sh.last_ckpt = sh.merge.merged(),
-                Err(e) => sh.fatal = Some(format!("checkpoint save failed: {e}")),
-            }
-        }
-    }
-    if let Some(n) = cfg.halt_after_reps {
-        if sh.merge.merged() >= n && !sh.merge.is_complete() {
-            sh.halted = true;
-        }
-    }
-}
-
-fn stop_requested(sh: &Shared) -> bool {
-    sh.halted || sh.deadline_hit || sh.fatal.is_some()
 }
 
 /// Run `job` under `cfg`. Statistics in [`ShardOutcome::Completed`] are
@@ -210,20 +224,24 @@ pub fn run_sweep(job: &JobSpec, cfg: &CoordinatorConfig) -> Result<ShardOutcome,
     if let Some(hub) = &cfg.obs {
         hub.with(|fv| fv.reset(campaign_id(job), job.reps));
     }
+    show_merge(cfg, &merge);
     let start = Instant::now();
     let table = LeaseTable::with_missing(job.reps, &merge.missing_ranges(), cfg.lease.clone());
-    let shared = Mutex::new(Shared {
+    let mut shared = Mutex::new(Shared {
         table,
         merge,
-        last_ckpt: cfg.resume.as_ref().map(|c| c.watermark).unwrap_or(0),
-        halted: false,
-        deadline_hit: false,
-        fatal: None,
+        control: Control {
+            last_ckpt: cfg.resume.as_ref().map(|c| c.watermark).unwrap_or(0),
+            halted: false,
+            deadline_hit: false,
+            fatal: None,
+        },
     });
 
     if !lock(&shared).merge.is_complete() {
         if cfg.endpoints.is_empty() {
-            run_local(&mat, job, cfg, &shared, start);
+            let sh = shared.get_mut().expect("shard state lock poisoned");
+            run_local(&mat, job, cfg, sh, start);
         } else {
             run_remote(&mat, job, cfg, &shared, start);
         }
@@ -231,20 +249,16 @@ pub fn run_sweep(job: &JobSpec, cfg: &CoordinatorConfig) -> Result<ShardOutcome,
 
     // Everything has stopped; freeze the outcome.
     let sh = shared.into_inner().expect("shard state lock poisoned");
-    if let Some(hub) = &cfg.obs {
-        let merged = sh.merge.merged();
-        hub.with(|fv| fv.merged = merged);
-    }
-    if let Some(fatal) = sh.fatal {
+    if let Some(fatal) = sh.control.fatal {
         return Err(fatal);
     }
     if let Some(reason) = sh.table.abort_reason() {
         return Err(reason.to_owned());
     }
-    if sh.halted {
+    if sh.control.halted {
         return Ok(ShardOutcome::Halted { merged: sh.merge.merged() });
     }
-    if sh.deadline_hit && !sh.merge.is_complete() {
+    if sh.control.deadline_hit && !sh.merge.is_complete() {
         let checkpoint = match &cfg.checkpoint_path {
             Some(path) => {
                 Checkpoint::from_merge(job, &sh.merge)
@@ -273,67 +287,26 @@ pub fn run_sweep(job: &JobSpec, cfg: &CoordinatorConfig) -> Result<ShardOutcome,
             .save(path)
             .map_err(|e| format!("final checkpoint save: {e}"))?;
     }
-    let (completion, waiting) = sh
-        .merge
+    sh.merge
         .finish()
-        .map_err(|e| format!("sweep failed: {e}"))?;
-    Ok(ShardOutcome::Completed(ShardResult {
-        completion,
-        waiting,
-        failures: sh.merge.failures().to_vec(),
-        reps: sh.merge.total(),
-    }))
+        .map(ShardOutcome::Completed)
+        .map_err(|e| e.to_string())
 }
 
-/// In-process execution of whatever the merge still owes. Also the
-/// degradation path when the cluster is gone.
+/// In-process execution of whatever the merge still owes, on core's
+/// executor with the campaign hook. Also the degradation path when the
+/// cluster is gone.
 fn run_local(
     mat: &MaterializedJob,
     job: &JobSpec,
     cfg: &CoordinatorConfig,
-    shared: &Mutex<Shared>,
+    sh: &mut Shared,
     start: Instant,
 ) {
-    let queue: Mutex<Vec<(u64, u64)>> = Mutex::new(lock(shared).merge.missing_ranges());
-    let pop = || -> Option<u64> {
-        let mut q = queue.lock().expect("rep queue lock poisoned");
-        let first = q.first_mut()?;
-        let rep = first.0;
-        first.0 += 1;
-        if first.0 >= first.1 {
-            q.remove(0);
-        }
-        Some(rep)
-    };
-    let stop = AtomicBool::new(false);
-    let jobs = cfg.local_jobs.max(1);
-    thread::scope(|s| {
-        for _ in 0..jobs {
-            s.spawn(|| {
-                let runner = mat.runner();
-                loop {
-                    if stop.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    if let Some(budget) = cfg.max_wall {
-                        if start.elapsed() >= budget {
-                            lock(shared).deadline_hit = true;
-                            stop.store(true, Ordering::Relaxed);
-                            return;
-                        }
-                    }
-                    let Some(rep) = pop() else { return };
-                    let outcome = RepOutcome::of(runner.run_rep_stats(rep));
-                    let mut sh = lock(shared);
-                    record(&mut sh, job, cfg, rep, outcome);
-                    if stop_requested(&sh) {
-                        stop.store(true, Ordering::Relaxed);
-                        return;
-                    }
-                }
-            });
-        }
-    });
+    let Shared { merge, control, .. } = sh;
+    mat.runner()
+        .jobs(cfg.local_jobs)
+        .run_owed(merge, |m| control.keep_going(m, job, cfg, start));
 }
 
 /// Drive the endpoint sessions plus the supervisor loop; returns once
@@ -362,23 +335,16 @@ fn run_remote(
             let now = now_ms(start);
             let mut sh = lock(shared);
             sh.table.check_deadlines(now);
-            if let Some(budget) = cfg.max_wall {
-                if start.elapsed() >= budget && !sh.merge.is_complete() {
-                    sh.deadline_hit = true;
-                }
-            }
+            let Shared { merge, control, .. } = &mut *sh;
+            let going = control.keep_going(merge, job, cfg, start);
             if let Some(hub) = &cfg.obs {
-                let merged = sh.merge.merged();
                 hub.with(|fv| {
-                    fv.merged = merged;
                     if fv.sample(now) {
                         fv.publish_gauges(now);
                     }
                 });
             }
-            let terminal = sh.merge.is_complete()
-                || stop_requested(&sh)
-                || sh.table.abort_reason().is_some();
+            let terminal = sh.merge.is_complete() || !going || sh.table.abort_reason().is_some();
             if terminal {
                 done.store(true, Ordering::Relaxed);
                 break;
@@ -395,8 +361,9 @@ fn run_remote(
                         ],
                     );
                 }
-                drop(sh);
-                run_local(mat, job, cfg, shared, start);
+                // Every endpoint thread is done with the state: hold the
+                // lock for the whole in-process run.
+                run_local(mat, job, cfg, &mut sh, start);
                 done.store(true, Ordering::Relaxed);
                 break;
             }
@@ -494,9 +461,9 @@ fn map_id(remap: &mut BTreeMap<u64, u64>, old: u64) -> u64 {
 /// Merge one worker telemetry batch into the coordinator's collector
 /// and fleet view: remap span ids into this process's space, stamp
 /// every record with the worker's process label, and fold counter
-/// deltas in. Strictly observational — nothing here calls [`record`] or
-/// touches the merge, which is the determinism argument for shipping
-/// being on, off, or lossy.
+/// deltas in. Strictly observational — nothing here touches the merge,
+/// which is the determinism argument for shipping being on, off, or
+/// lossy.
 fn absorb_telemetry(
     batch: TelemetryBatch,
     worker_name: &str,
@@ -719,8 +686,9 @@ fn drive_leases(
                             }
                             let mut sh = lock(shared);
                             sh.table.on_rep_done(w, rep, now);
-                            record(&mut sh, job, cfg, rep, outcome);
-                            if stop_requested(&sh) {
+                            let Shared { merge, control, .. } = &mut *sh;
+                            merge.accept(rep, outcome);
+                            if !control.keep_going(merge, job, cfg, start) {
                                 done.store(true, Ordering::Relaxed);
                             }
                         }
@@ -780,7 +748,8 @@ fn drive_leases(
 mod tests {
     use super::*;
     use crate::worker::{serve, WorkerOptions};
-    use flagsim_core::sweep::SweepRunner;
+    use flagsim_core::sweep::{RepOutcome, SweepRunner};
+    use flagsim_metrics::RunStats;
     use std::net::TcpListener;
 
     fn job(reps: u64) -> JobSpec {

@@ -90,6 +90,8 @@ pub struct FleetView {
     pub total_reps: u64,
     /// Repetitions merged so far.
     pub merged: u64,
+    /// How many of the merged repetitions failed.
+    pub failed: u64,
     workers: BTreeMap<String, WorkerObs>,
     last_sample_ms: Option<u64>,
 }
@@ -237,6 +239,7 @@ impl FleetView {
         let _ = writeln!(out, "  \"campaign\": {},", json_string(&self.campaign));
         let _ = writeln!(out, "  \"total_reps\": {},", self.total_reps);
         let _ = writeln!(out, "  \"merged\": {},", self.merged);
+        let _ = writeln!(out, "  \"failed\": {},", self.failed);
         let _ = writeln!(out, "  \"now_ms\": {now_ms},");
         let _ = writeln!(out, "  \"live_workers\": {},", self.live_workers());
         let _ = writeln!(out, "  \"leases_in_flight\": {},", self.leases_in_flight());

@@ -123,7 +123,7 @@ impl LeaseTable {
     /// ranges (from [`MergeState::missing_ranges`]); everything else is
     /// treated as done.
     ///
-    /// [`MergeState::missing_ranges`]: crate::merge::MergeState::missing_ranges
+    /// [`MergeState::missing_ranges`]: flagsim_core::sweep::MergeState::missing_ranges
     pub fn with_missing(total: u64, ranges: &[(u64, u64)], cfg: LeaseConfig) -> Self {
         let mut t = LeaseTable::new(total, cfg);
         t.next_fresh = total; // nothing is "fresh"; all work flows from `returned`

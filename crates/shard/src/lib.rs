@@ -4,11 +4,12 @@
 //! its output. A *coordinator* shards a sweep's repetition range into
 //! leases, farms them out to `flagsim worker` processes over a
 //! hand-rolled length-prefixed JSON-over-TCP protocol (the workspace is
-//! offline — no serde, no tonic), and merges the per-repetition metrics
-//! back through a rep-indexed reorder buffer, so the final statistics
-//! are **bit-for-bit identical to the serial sweep** at any worker
-//! count — the same determinism contract `core::sweep` already makes
-//! for threads, extended to processes.
+//! offline — no serde, no tonic), and folds the per-repetition metrics
+//! back through core's one rep-indexed merge
+//! ([`MergeState`](flagsim_core::sweep::MergeState)), so the final
+//! statistics are **bit-for-bit identical to the serial sweep** at any
+//! worker count — the same determinism contract `core::sweep` makes for
+//! threads, by the same code, extended to processes.
 //!
 //! The paper's scenario 4 teaches that real parallel systems lose
 //! workers; this crate survives failure at every layer:
@@ -23,10 +24,11 @@
 //! * **Reconnects** ([`coordinator`]): connection attempts back off
 //!   exponentially with a cap and an attempt budget.
 //! * **Degradation**: when no worker is reachable at all, the
-//!   coordinator runs the repetitions in-process (the same
-//!   [`SweepRunner::run_rep_stats`](flagsim_core::sweep::SweepRunner::run_rep_stats)
-//!   the workers call), so a dead cluster costs wall-clock time, never a
-//!   campaign.
+//!   coordinator runs the missing repetitions in-process on core's
+//!   executor
+//!   ([`SweepRunner::run_owed`](flagsim_core::sweep::SweepRunner::run_owed),
+//!   the one `flagsim sweep --jobs` uses, folding into the same merge),
+//!   so a dead cluster costs wall-clock time, never a campaign.
 //! * **Checkpoint/resume** ([`checkpoint`]): the coordinator
 //!   periodically serializes its [`StreamingStats`] accumulators (exact
 //!   bit-level snapshots), the merged-rep watermark, recorded failures,
@@ -56,17 +58,15 @@ pub mod coordinator;
 pub mod fleet;
 pub mod job;
 pub mod lease;
-pub mod merge;
 pub mod obs_serve;
 pub mod wire;
 pub mod worker;
 
 pub use checkpoint::Checkpoint;
-pub use coordinator::{campaign_id, run_sweep, CoordinatorConfig, ShardOutcome, ShardResult};
+pub use coordinator::{campaign_id, run_sweep, CoordinatorConfig, ShardOutcome};
 pub use fleet::{FleetView, ObsHub, WorkerObs};
 pub use job::{JobSpec, MaterializedJob};
 pub use lease::{LeaseConfig, LeaseGrant, LeaseTable, WorkerId};
-pub use merge::{MergeState, RepOutcome};
 pub use obs_serve::ObsServer;
 pub use wire::{read_frame, write_frame, Message, TelemetryBatch, TraceConfig, PROTOCOL_VERSION};
 pub use worker::{serve, WorkerOptions};

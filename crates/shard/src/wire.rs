@@ -33,7 +33,7 @@
 //! ignored by older decoders, so [`PROTOCOL_VERSION`] stays at 1.
 
 use crate::job::JobSpec;
-use crate::merge::RepOutcome;
+use flagsim_core::sweep::RepOutcome;
 use flagsim_telemetry::json::{self, f64_bits_hex, f64_from_bits_hex, json_string, Value};
 use flagsim_telemetry::{intern, FlowRecord, Level, LogRecord, SpanRecord};
 use std::fmt::Write as _;
@@ -212,23 +212,11 @@ impl Message {
                 );
             }
             Message::Telemetry(batch) => encode_telemetry(&mut out, batch),
-            Message::Rep { rep, outcome } => match outcome {
-                RepOutcome::Ok { completion, waiting } => {
-                    let _ = write!(
-                        out,
-                        "{{\"type\":\"rep\",\"rep\":\"{rep}\",\"ok\":true,\"completion\":\"{}\",\"waiting\":\"{}\"}}",
-                        f64_bits_hex(*completion),
-                        f64_bits_hex(*waiting)
-                    );
-                }
-                RepOutcome::Failed { error } => {
-                    let _ = write!(
-                        out,
-                        "{{\"type\":\"rep\",\"rep\":\"{rep}\",\"ok\":false,\"error\":{}}}",
-                        json_string(error)
-                    );
-                }
-            },
+            Message::Rep { rep, outcome } => {
+                out.push_str("{\"type\":\"rep\",");
+                write_outcome(&mut out, *rep, outcome);
+                out.push('}');
+            }
             Message::LeaseDone { start, end } => {
                 let _ = write!(
                     out,
@@ -292,32 +280,7 @@ impl Message {
             }),
             "telemetry" => decode_telemetry(&v).map(Message::Telemetry),
             "rep" => {
-                let rep = u64_field("rep")?;
-                let ok = match v.get("ok") {
-                    Some(Value::Bool(b)) => *b,
-                    _ => return Err("bad rep frame: missing bool \"ok\"".into()),
-                };
-                let outcome = if ok {
-                    let bits = |key: &str| -> Result<f64, String> {
-                        let s = v
-                            .get(key)
-                            .and_then(Value::as_str)
-                            .ok_or_else(|| format!("bad rep frame: missing {key:?}"))?;
-                        f64_from_bits_hex(s)
-                    };
-                    RepOutcome::Ok {
-                        completion: bits("completion")?,
-                        waiting: bits("waiting")?,
-                    }
-                } else {
-                    RepOutcome::Failed {
-                        error: v
-                            .get("error")
-                            .and_then(Value::as_str)
-                            .unwrap_or("unknown worker error")
-                            .to_owned(),
-                    }
-                };
+                let (rep, outcome) = read_outcome(&v, "bad \"rep\" frame")?;
                 Ok(Message::Rep { rep, outcome })
             }
             "lease_done" => Ok(Message::LeaseDone {
@@ -337,6 +300,45 @@ impl Message {
             other => Err(format!("bad frame: unknown type {other:?}")),
         }
     }
+}
+
+/// Write one repetition's outcome fields — `"rep"`, then `"ok":true`
+/// with the two metrics as hex bit patterns, or `"ok":false` with the
+/// error. The `rep` frame and a checkpoint's pending entries share them.
+pub(crate) fn write_outcome(out: &mut String, rep: u64, outcome: &RepOutcome) {
+    let _ = match outcome {
+        RepOutcome::Ok {
+            completion,
+            waiting,
+        } => write!(
+            out,
+            "\"rep\":\"{rep}\",\"ok\":true,\"completion\":\"{}\",\"waiting\":\"{}\"",
+            f64_bits_hex(*completion),
+            f64_bits_hex(*waiting)
+        ),
+        RepOutcome::Failed { error } => write!(
+            out,
+            "\"rep\":\"{rep}\",\"ok\":false,\"error\":{}",
+            json_string(error)
+        ),
+    };
+}
+
+/// Read the fields [`write_outcome`] wrote; `what` prefixes errors.
+pub(crate) fn read_outcome(v: &Value, what: &str) -> Result<(u64, RepOutcome), String> {
+    let field = |key: &str| str_of(v, key).ok_or_else(|| format!("{what}: missing {key:?}"));
+    let rep = field("rep")?
+        .parse::<u64>()
+        .map_err(|_| format!("{what}: \"rep\" is not a u64"))?;
+    let outcome = match v.get("ok") {
+        Some(Value::Bool(true)) => RepOutcome::Ok {
+            completion: f64_from_bits_hex(field("completion")?)?,
+            waiting: f64_from_bits_hex(field("waiting")?)?,
+        },
+        Some(Value::Bool(false)) => RepOutcome::Failed { error: field("error")?.to_owned() },
+        _ => return Err(format!("{what}: missing bool \"ok\"")),
+    };
+    Ok((rep, outcome))
 }
 
 fn encode_telemetry(out: &mut String, batch: &TelemetryBatch) {

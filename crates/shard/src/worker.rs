@@ -24,7 +24,6 @@
 //! repetitions themselves.
 
 use crate::job::JobSpec;
-use crate::merge::RepOutcome;
 use crate::wire::{self, Message, TelemetryBatch, TraceConfig, PROTOCOL_VERSION};
 use flagsim_telemetry::{log, Collector, FlowRecord, LogRecord, SpanRecord};
 use std::io::{self, BufReader, BufWriter, Write};
@@ -267,7 +266,7 @@ pub fn serve_session(stream: &TcpStream, opts: &WorkerOptions) -> io::Result<()>
                     let outcome = {
                         let _rep_span = sampled
                             .then(|| flagsim_telemetry::span("sim", "sweep.rep").arg("rep", rep));
-                        RepOutcome::of(runner.run_rep_stats(rep))
+                        runner.run_rep_stats(rep).into()
                     };
                     wire::send(&mut writer, &Message::Rep { rep, outcome })?;
                     if flagsim_telemetry::enabled() {
@@ -316,6 +315,7 @@ pub fn serve_session(stream: &TcpStream, opts: &WorkerOptions) -> io::Result<()>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flagsim_core::sweep::RepOutcome;
     use std::net::TcpListener;
     use std::thread;
 

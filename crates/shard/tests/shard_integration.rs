@@ -4,13 +4,14 @@
 //!    heartbeat miss → timeout → (backoff) → reassignment — correctly
 //!    under every `RecoveryPolicy`, on a deterministic fake clock;
 //! 2. a campaign killed at *any* checkpoint boundary resumes to final
-//!    statistics bit-identical to an uninterrupted run.
+//!    statistics bit-identical to an uninterrupted run, on one local
+//!    thread or several.
 
 use flagsim_core::faults::RecoveryPolicy;
 use flagsim_metrics::RunStats;
 use flagsim_shard::{
     run_sweep, Checkpoint, CoordinatorConfig, JobSpec, LeaseConfig, LeaseGrant, LeaseTable,
-    ShardOutcome,
+    ObsHub, ShardOutcome,
 };
 
 fn job(reps: u64) -> JobSpec {
@@ -147,7 +148,10 @@ fn reconnect_backoff_schedule_is_deterministic() {
 
 /// The headline durability gate: kill the campaign after merging k reps
 /// — for every k — resume from the checkpoint on disk, and demand final
-/// statistics bit-identical to a never-interrupted run.
+/// statistics bit-identical to a never-interrupted run. Run on one
+/// local thread, where the merge watermark advances one rep at a time
+/// so the kill lands exactly at k, and on three, where the halt hook
+/// fires under the executor's lock while other reps are in flight.
 #[test]
 fn crash_at_every_checkpoint_boundary_resumes_bit_identically() {
     let reps = 8;
@@ -157,42 +161,76 @@ fn crash_at_every_checkpoint_boundary_resumes_bit_identically() {
     );
     let dir = std::env::temp_dir().join(format!("flagsim-killpoints-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("tmp dir");
-    for kill_after in 1..reps {
-        let ckpt = dir.join(format!("kill-{kill_after}.ckpt"));
-        let halted = run_sweep(
-            &j,
-            &CoordinatorConfig {
-                checkpoint_path: Some(ckpt.clone()),
-                checkpoint_every: 1,
-                halt_after_reps: Some(kill_after),
-                // Serial local path: the merge watermark advances one rep
-                // at a time, so the kill lands exactly at `kill_after`.
-                local_jobs: 1,
-                ..CoordinatorConfig::default()
-            },
-        )
-        .expect("halted sweep");
-        match halted {
-            ShardOutcome::Halted { merged } => assert!(merged >= kill_after),
-            other => panic!("kill point {kill_after}: expected halt, got {other:?}"),
-        }
-        let ck = Checkpoint::load(&ckpt).expect("checkpoint loads");
-        assert!(
-            ck.watermark >= 1,
-            "kill point {kill_after}: watermark {} should show progress",
-            ck.watermark
-        );
-        let (c, w) = completed(
-            run_sweep(
+    for local_jobs in [1, 3] {
+        for kill_after in 1..reps {
+            let at = format!("kill point {kill_after}, {local_jobs} job(s)");
+            let ckpt = dir.join(format!("kill-{kill_after}-{local_jobs}.ckpt"));
+            let halted = run_sweep(
                 &j,
-                &CoordinatorConfig { resume: Some(ck), ..CoordinatorConfig::default() },
+                &CoordinatorConfig {
+                    checkpoint_path: Some(ckpt.clone()),
+                    checkpoint_every: 1,
+                    halt_after_reps: Some(kill_after),
+                    local_jobs,
+                    ..CoordinatorConfig::default()
+                },
             )
-            .unwrap_or_else(|e| panic!("resume from kill point {kill_after}: {e}")),
-        );
-        assert_bits_equal(&c, &fresh_c, &format!("completion after kill at {kill_after}"));
-        assert_bits_equal(&w, &fresh_w, &format!("waiting after kill at {kill_after}"));
+            .expect("halted sweep");
+            match halted {
+                ShardOutcome::Halted { merged } => {
+                    assert!(merged >= kill_after, "{at}: merged {merged}");
+                    if local_jobs == 1 {
+                        assert_eq!(merged, kill_after, "{at}");
+                    }
+                }
+                other => panic!("{at}: expected halt, got {other:?}"),
+            }
+            let ck = Checkpoint::load(&ckpt).expect("checkpoint loads");
+            assert!(
+                ck.watermark >= kill_after,
+                "{at}: watermark {} should cover the kill point",
+                ck.watermark
+            );
+            let (c, w) = completed(
+                run_sweep(
+                    &j,
+                    &CoordinatorConfig {
+                        resume: Some(ck),
+                        local_jobs,
+                        ..CoordinatorConfig::default()
+                    },
+                )
+                .unwrap_or_else(|e| panic!("resume from {at}: {e}")),
+            );
+            assert_bits_equal(&c, &fresh_c, &format!("completion after {at}"));
+            assert_bits_equal(&w, &fresh_w, &format!("waiting after {at}"));
+        }
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The merge publishes what the sweep dashboard reads on every path: a
+/// local campaign leaves the live mean gauge set, and merged failures
+/// reach the fleet view the dashboard's fleet panel is polled from.
+#[test]
+fn local_campaign_feeds_the_dashboard_gauges_and_failure_count() {
+    let collector = flagsim_telemetry::Collector::install();
+    let hub = ObsHub::new();
+    let cfg = CoordinatorConfig {
+        local_jobs: 2,
+        obs: Some(hub.clone()),
+        ..CoordinatorConfig::default()
+    };
+    completed(run_sweep(&job(6), &cfg).expect("local sweep"));
+    let mean = collector.metrics().gauge("sweep.completion.mean_s").get();
+    assert!(mean > 0.0, "sweep.completion.mean_s = {mean}");
+    assert_eq!(hub.with(|fv| (fv.merged, fv.failed)), (6, 0));
+    // Scenario 3 needs four students: every rep of a team of 2 fails.
+    let understaffed = JobSpec { scenario: "3".into(), team: 2, ..job(4) };
+    let err = run_sweep(&understaffed, &cfg).expect_err("every rep fails");
+    assert!(err.starts_with("all 4 repetitions failed; first: rep 0: "), "{err}");
+    assert_eq!(hub.with(|fv| (fv.merged, fv.failed)), (4, 4));
+    let _ = collector.finish();
 }
 
 /// Resume composes: kill a resumed campaign again, resume again.
