@@ -217,23 +217,18 @@ pub fn run_engine_bench(engine_reps: u64, e2e_reps: u64) -> EngineBench {
         .expect("streaming sweep failed");
     let end_to_end_secs = t2.elapsed().as_secs_f64().max(f64::MIN_POSITIVE);
     // Determinism gate 3: streaming (trace-off) statistics must land on
-    // the retained (trace-on) sweep's. Per-rep measurements must be
-    // bit-identical, so n/mean/min/max agree exactly; stddev is Welford
-    // in streaming mode vs two-pass in retained mode, and median is
-    // exact only with retained samples, so those aren't part of the
-    // bit-identity contract (mirrors the sweep crate's own cross-mode
-    // test).
+    // the retained (trace-on) sweep's in every field. Per-rep
+    // measurements are bit-identical and both modes fold them through
+    // the same accumulators, so median and stddev included.
     let retained = SweepRunner::new(&scenario, &flag, &kit, &cfg)
         .reps(e2e_reps)
         .retain_reports(true)
         .run()
         .expect("retained sweep failed");
     let stats_eq = |a: &flagsim_metrics::RunStats, b: &flagsim_metrics::RunStats| {
-        a.n == b.n
-            && a.mean == b.mean
-            && a.min == b.min
-            && a.max == b.max
-            && (a.stddev - b.stddev).abs() < 1e-9
+        [a.mean, a.stddev, a.min, a.median, a.max].map(f64::to_bits)
+            == [b.mean, b.stddev, b.min, b.median, b.max].map(f64::to_bits)
+            && a.n == b.n
     };
     let sweep_ok = stats_eq(&streaming.completion, &retained.completion)
         && stats_eq(&streaming.waiting, &retained.waiting);

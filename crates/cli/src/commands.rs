@@ -74,7 +74,7 @@ USAGE:
   flagsim faults --demo-deadlock
   flagsim sweep <SCENARIO> [--reps M] [--jobs N]
                 [--flag NAME] [--kind KIND] [--seed N] [--team N]
-                [--warmup] [--stream] [--progress] [--dashboard]
+                [--warmup] [--progress] [--dashboard]
                 [--trace-out FILE] [--no-check]
                 [--workers N | --connect ADDR[,ADDR..]]
                 [--checkpoint FILE] [--checkpoint-every K]
@@ -259,7 +259,6 @@ const OPTIONS: &[OptDef] = {
         switch("gantt", &["run"]),
         // sweep, its shard coordinator, and worker
         switch("warmup", &["sweep"]),
-        switch("stream", &["sweep"]),
         switch("progress", &["sweep"]),
         switch("dashboard", &["sweep"]),
         value("workers", Absent, &["sweep"]),
@@ -781,7 +780,7 @@ fn set_log_level(opts: &Opts) -> Result<(), CliError> {
 /// `flagsim sweep` — the measurement campaign front door: run a scenario
 /// across many seeds on `--jobs` worker threads and print the summary
 /// statistics. The job count never changes the numbers, only the
-/// wall-clock time.
+/// wall-clock time. No report is kept: the table needs 16 B per rep.
 fn cmd_sweep(opts: &Opts) -> Result<String, CliError> {
     use flagsim_core::sweep::SweepRunner;
 
@@ -800,14 +799,13 @@ fn cmd_sweep(opts: &Opts) -> Result<String, CliError> {
     }
     let which = opts.target(
         "usage: flagsim sweep <SCENARIO> [--reps M] [--jobs N] \
-         [--flag NAME] [--kind KIND] [--seed N] [--team N] [--warmup] [--stream] \
+         [--flag NAME] [--kind KIND] [--seed N] [--team N] [--warmup] \
          [--progress] [--dashboard] [--trace-out FILE] [--log-level LEVEL]",
     )?;
     let run = resolve_run(opts)?;
     let (scenario, team) = run.scenario(opts, which)?;
     let reps = opts.count("reps")? as u64;
     let jobs = opts.count("jobs")?;
-    let stream = opts.has("stream");
     let dashboard = opts.has("dashboard");
     let trace_out = opts.value("trace-out");
     run.preflight(opts, &scenario, team + 1, &FaultPlan::none())?;
@@ -816,7 +814,7 @@ fn cmd_sweep(opts: &Opts) -> Result<String, CliError> {
         .warmup(opts.has("warmup"))
         .reps(reps)
         .jobs(jobs)
-        .retain_reports(!stream);
+        .retain_reports(false);
     // Both the trace file and the dashboard's live mean/CI gauges need a
     // telemetry collector; the global slot is generation-guarded, so
     // install exactly one and share it.
@@ -859,17 +857,8 @@ fn cmd_sweep(opts: &Opts) -> Result<String, CliError> {
         }
     }
     let header = format!(
-        "{} — {}, {} rep(s), {} job(s), seed {}{}",
-        scenario.name,
-        run.spec.name,
-        reps,
-        jobs,
-        run.seed,
-        if stream {
-            ", streaming statistics (reports dropped)"
-        } else {
-            ""
-        },
+        "{} — {}, {} rep(s), {} job(s), seed {}",
+        scenario.name, run.spec.name, reps, jobs, run.seed,
     );
     Ok(sweep_summary(header, &result?, |line| eprintln!("{line}")))
 }
@@ -918,8 +907,8 @@ fn sweep_summary(
 /// worker processes), `--connect ADDR` (use an existing cluster),
 /// `--checkpoint`/`--checkpoint-every`/`--resume` (durable progress),
 /// and `--max-wall-secs` (soft deadline → checkpoint + exit code 3).
-/// Statistics are bit-for-bit identical to the in-process streaming
-/// sweep at any worker count.
+/// Statistics are bit-for-bit identical to the in-process sweep at any
+/// worker count.
 fn cmd_sweep_shard(opts: &Opts) -> Result<String, CliError> {
     use flagsim_shard::{
         run_sweep, Checkpoint, CoordinatorConfig, JobSpec, LeaseConfig, ShardOutcome,
@@ -2347,18 +2336,29 @@ mod tests {
 
     #[test]
     fn sweep_streaming_mode_matches_retained_mean() {
-        let retained = runv(&["sweep", "3", "--reps", "8", "--seed", "5"]).unwrap();
-        let streamed =
-            runv(&["sweep", "3", "--reps", "8", "--seed", "5", "--stream"]).unwrap();
-        assert!(streamed.contains("streaming statistics"), "{streamed}");
-        // n/mean/stddev/min agree either way (the P² median is an
-        // estimate, so the last two columns may differ in rounding).
-        let head = |s: &str| {
-            s.lines()
-                .find(|l| l.starts_with("completion") && !l.contains("CI"))
-                .map(|l| l.split_whitespace().take(5).map(String::from).collect::<Vec<_>>())
+        // `sweep` keeps no reports, yet every row it prints, median and
+        // max included, is that of the same sweep with its reports
+        // retained, and the median is the exact one over those reports.
+        let printed = runv(&["sweep", "4", "--reps", "40", "--seed", "5"]).unwrap();
+        let job = flagsim_shard::JobSpec {
+            scenario: "4".into(),
+            flag: "Mauritius".into(),
+            kind: "thick".into(),
+            seed: 5,
+            reps: 40,
+            team: 4,
+            warmup: false,
         };
-        assert_eq!(head(&retained), head(&streamed));
+        let mat = job.materialize().unwrap();
+        let retained = mat.runner().retain_reports(true).run().unwrap();
+        assert_eq!(retained.reports.len(), 40);
+        let rows = |s: &str| s.lines().skip(1).map(String::from).collect::<Vec<_>>();
+        let expected = sweep_summary(String::new(), &retained, |_| {});
+        assert_eq!(rows(&printed), rows(&expected), "{printed}\nvs\n{expected}");
+        let completions: Vec<f64> = retained.reports.iter().map(|r| r.completion_secs()).collect();
+        let exact = flagsim_metrics::RunStats::from_sample(&completions);
+        assert_eq!(retained.completion.median.to_bits(), exact.median.to_bits());
+        assert_eq!(retained.completion.max.to_bits(), exact.max.to_bits());
     }
 
     #[test]
@@ -2368,6 +2368,7 @@ mod tests {
         assert!(runv(&["sweep", "4", "--reps", "0"]).is_err());
         assert!(runv(&["sweep", "4", "--jobs", "0"]).is_err());
         assert!(runv(&["sweep", "4", "--reps", "abc"]).is_err());
+        assert!(runv(&["sweep", "4", "--stream"]).is_err(), "--stream is gone");
         // A team too small for the scenario fails every repetition.
         let e = runv(&["sweep", "3", "--team", "1", "--reps", "2"]).unwrap_err();
         assert!(e.message.contains("all 2 repetitions failed"), "{e}");

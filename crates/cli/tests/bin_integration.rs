@@ -287,11 +287,11 @@ fn sweep_soft_deadline_exits_3_checkpoints_and_resumes_bit_identically() {
     assert!(stderr.contains("--resume"), "resume hint expected: {stderr}");
     assert!(ckpt.exists(), "deadline expiry must leave a checkpoint");
     // Resuming finishes the campaign with statistics identical to an
-    // uninterrupted streaming sweep (compare everything below the
+    // uninterrupted sweep (compare everything below the
     // run-description header line).
     let (resumed, stderr, code) = flagsim_code(&["sweep", "--resume", ckpt_s]);
     assert_eq!(code, 0, "{stderr}");
-    let (fresh, _, ok) = flagsim(&["sweep", "3", "--reps", "6", "--seed", "5", "--stream"]);
+    let (fresh, _, ok) = flagsim(&["sweep", "3", "--reps", "6", "--seed", "5"]);
     std::fs::remove_file(&ckpt).ok();
     assert!(ok);
     let tail = |s: &str| s.split_once('\n').map(|(_, t)| t.to_owned()).unwrap_or_default();
@@ -309,7 +309,7 @@ fn sweep_with_spawned_workers_matches_serial_statistics() {
     ]);
     assert_eq!(shard.2, 0, "sharded sweep failed: {}", shard.1);
     assert!(shard.0.contains("2 worker(s)"), "{}", shard.0);
-    let (serial, _, ok) = flagsim(&["sweep", "onestripe", "--reps", "6", "--seed", "5", "--stream"]);
+    let (serial, _, ok) = flagsim(&["sweep", "onestripe", "--reps", "6", "--seed", "5"]);
     assert!(ok);
     let tail = |s: &str| s.split_once('\n').map(|(_, t)| t.to_owned()).unwrap_or_default();
     assert_eq!(
@@ -328,7 +328,7 @@ fn all_failed_sweep_reports_the_same_lines_in_process_and_through_the_coordinato
     // same per-rep warnings and the same final error.
     let ckpt = std::env::temp_dir().join(format!("flagsim-allfail-{}.ckpt", std::process::id()));
     let base = ["sweep", "3", "--team", "2", "--reps", "5", "--no-check"];
-    let (out_a, err_a, code_a) = flagsim_code(&[&base[..], &["--stream"]].concat());
+    let (out_a, err_a, code_a) = flagsim_code(&base);
     let (out_b, err_b, code_b) =
         flagsim_code(&[&base[..], &["--checkpoint", ckpt.to_str().unwrap()]].concat());
     std::fs::remove_file(&ckpt).ok();
@@ -370,7 +370,7 @@ fn worker_prints_its_bound_address_and_serves_a_connect_sweep() {
     assert_eq!(code, 0, "{stderr}");
     assert!(stdout.contains("1 worker(s)"), "{stdout}");
     worker.wait().expect("worker exits after --once session");
-    let (serial, _, ok) = flagsim(&["sweep", "onestripe", "--reps", "4", "--seed", "9", "--stream"]);
+    let (serial, _, ok) = flagsim(&["sweep", "onestripe", "--reps", "4", "--seed", "9"]);
     assert!(ok);
     let tail = |s: &str| s.split_once('\n').map(|(_, t)| t.to_owned()).unwrap_or_default();
     assert_eq!(tail(&stdout), tail(&serial));
@@ -389,7 +389,7 @@ fn distributed_sweep_merges_one_trace_with_worker_tracks_and_obs_snapshot() {
 
     // Shipping telemetry must not move a single statistics bit.
     let (serial, _, ok) =
-        flagsim(&["sweep", "onestripe", "--reps", "6", "--seed", "11", "--stream"]);
+        flagsim(&["sweep", "onestripe", "--reps", "6", "--seed", "11"]);
     assert!(ok);
     let tail = |s: &str| s.split_once('\n').map(|(_, t)| t.to_owned()).unwrap_or_default();
     assert_eq!(

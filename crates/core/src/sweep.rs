@@ -17,14 +17,16 @@
 //!
 //! [`MergeState`] is the only merge in the workspace: the shard
 //! coordinator folds worker-reported outcomes through it, checkpoints
-//! freeze it, and [`SweepRunner::run_owed`] — the only in-process
-//! executor — runs whatever repetitions a (possibly resumed) merge still
-//! owes.
+//! log its merged outcomes and replay them into a fresh one, and
+//! [`SweepRunner::run_owed`] — the only in-process executor — runs
+//! whatever repetitions a (possibly resumed) merge still owes. Its
+//! [`StreamingStats`] accumulators give every sweep the same exact
+//! statistics, with or without reports.
 //!
 //! For huge campaigns, [`SweepRunner::retain_reports`]`(false)` runs each
 //! repetition through the stats-only post-step
 //! ([`SweepRunner::run_rep_stats`]): no [`RunReport`] is built, and the
-//! two swept metrics accumulate in O(1) memory with [`StreamingStats`].
+//! sweep keeps 16 B per successful repetition (its two swept metrics).
 //! A progress callback ([`SweepRunner::on_progress`]) gives
 //! observability either way.
 
@@ -144,7 +146,7 @@ type Compiled = (CompiledScenario, Result<KitSlots, String>);
 ///     .team_size(4)
 ///     .reps(256)
 ///     .jobs(8)
-///     .retain_reports(false) // O(1) memory: streaming statistics only
+///     .retain_reports(false) // statistics only: 16 B per rep, no reports
 ///     .on_progress(|p| eprintln!("{}/{} done", p.completed, p.total))
 ///     .run()
 ///     .expect("at least one repetition succeeded");
@@ -227,8 +229,9 @@ impl<'a> SweepRunner<'a> {
     }
 
     /// Keep every [`RunReport`] (the default), or run each repetition
-    /// for its stats alone and stream them in O(1) memory — the only way
-    /// a million-repetition sweep fits in RAM.
+    /// for its stats alone and keep 16 B of it — the only way a
+    /// million-repetition sweep fits in RAM. The statistics are the same
+    /// bits either way.
     pub fn retain_reports(mut self, retain: bool) -> Self {
         self.retain_reports = retain;
         self
@@ -469,8 +472,7 @@ impl<K: FnMut(&MergeState) -> bool> Owed<'_, K> {
 }
 
 /// One repetition's outcome, reduced to what the statistics need — what
-/// a shard worker reports over the wire and a checkpoint parks behind a
-/// gap.
+/// a shard worker reports over the wire and a checkpoint logs.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RepOutcome {
     /// The run succeeded; the two swept metrics, bit-exact.
@@ -505,14 +507,19 @@ impl From<Result<RepStats, String>> for RepOutcome {
 /// Outcomes arrive keyed by repetition index, in whatever order threads
 /// or remote workers finish them, park in a reorder buffer, and fold
 /// into the accumulators strictly in repetition order.
-/// [`StreamingStats`] is order-sensitive (its exact sum, Welford
-/// recurrence and P² markers all round differently under reordering),
-/// so this is what makes the statistics bit-for-bit those of a serial
-/// sweep at any thread or worker count, with any failure, reassignment
-/// or resume history. Duplicate deliveries (a rep re-run because its
-/// first worker died after reporting it, or replayed from a
-/// checkpoint's pending set) are dropped: merging is idempotent per
+/// [`StreamingStats`] is order-sensitive (its exact sum and Welford
+/// recurrence round differently under reordering), so this is what
+/// makes the statistics bit-for-bit those of a serial sweep at any
+/// thread or worker count, with any failure, reassignment or resume
+/// history. Duplicate deliveries (a rep re-run because its first worker
+/// died after reporting it) are dropped: merging is idempotent per
 /// repetition index.
+///
+/// A merge keeps no log of its own: [`MergeState::merged_outcomes`]
+/// reads the merged outcomes back off the accumulators' samples and the
+/// failure list, and accepting them in order into a
+/// [`MergeState::new`] rebuilds the merge bit for bit — which is how a
+/// checkpoint resumes.
 ///
 /// Each merged success feeds the live `sweep.completion.*` gauges the
 /// dashboard reads; each merged failure logs a `core.sweep` warning.
@@ -542,31 +549,6 @@ impl MergeState {
             failures: Vec::new(),
             reports: None,
         }
-    }
-
-    /// Rebuild a merge mid-campaign: accumulators and failures restored
-    /// from a checkpoint, watermark at `next_emit`, plus any
-    /// completed-but-unmerged outcomes (they re-enter the reorder
-    /// buffer and merge as soon as the gap before them closes).
-    pub fn restore(
-        total: u64,
-        next_emit: u64,
-        completion: StreamingStats,
-        waiting: StreamingStats,
-        failures: Vec<SweepFailure>,
-        pending: Vec<(u64, RepOutcome)>,
-    ) -> Self {
-        let mut m = MergeState {
-            next_emit,
-            completion,
-            waiting,
-            failures,
-            ..MergeState::new(total)
-        };
-        for (rep, outcome) in pending {
-            m.accept(rep, outcome);
-        }
-        m
     }
 
     /// Fold in one repetition's outcome. Outcomes for already-merged or
@@ -610,12 +592,13 @@ impl MergeState {
                 self.completion.push(completion);
                 self.waiting.push(waiting);
                 if flagsim_telemetry::enabled() {
-                    let stats = self.completion.to_stats();
-                    flagsim_telemetry::gauge_set("sweep.completion.mean_s", stats.mean);
-                    flagsim_telemetry::gauge_set(
-                        "sweep.completion.ci95_s",
-                        stats.ci95_half_width(),
-                    );
+                    // O(1) per rep: the running moments, never the
+                    // sample (`to_stats` would sort it for the median).
+                    let c = &self.completion;
+                    let n = c.n() as f64;
+                    let ci95 = if n < 2.0 { 0.0 } else { 1.96 * c.stddev() / n.sqrt() };
+                    flagsim_telemetry::gauge_set("sweep.completion.mean_s", c.mean());
+                    flagsim_telemetry::gauge_set("sweep.completion.ci95_s", ci95);
                     flagsim_telemetry::observe("sweep.completion_secs", completion);
                 }
             }
@@ -639,8 +622,7 @@ impl MergeState {
 
     /// Repetitions merged so far — the checkpoint watermark: every rep
     /// below it is folded into the accumulators, every rep at or above
-    /// it is either buffered in [`MergeState::pending_outcomes`] or
-    /// still owed.
+    /// it is either buffered behind a gap or still owed.
     pub fn merged(&self) -> u64 {
         self.next_emit
     }
@@ -653,12 +635,6 @@ impl MergeState {
     /// Whether every repetition has merged.
     pub fn is_complete(&self) -> bool {
         self.next_emit == self.total
-    }
-
-    /// The completed-but-unmerged outcomes (reps above the watermark
-    /// with gaps before them), for checkpointing.
-    pub fn pending_outcomes(&self) -> Vec<(u64, RepOutcome)> {
-        self.pending.iter().map(|(r, o)| (*r, o.clone())).collect()
     }
 
     /// The repetition indices in `[merged(), total())` that are *not*
@@ -679,9 +655,24 @@ impl MergeState {
         out
     }
 
-    /// Borrow the accumulators (for checkpointing).
-    pub fn accumulators(&self) -> (&StreamingStats, &StreamingStats) {
-        (&self.completion, &self.waiting)
+    /// The merged outcomes of reps `from..merged()`, in rep order —
+    /// what a checkpoint logs. Read back off the accumulators' samples
+    /// (the i-th success is the i-th observation) and the failure list,
+    /// so the merge keeps no second copy.
+    pub fn merged_outcomes(&self, from: u64) -> impl Iterator<Item = (u64, RepOutcome)> + '_ {
+        let mut failed = self.failures.partition_point(|f| f.rep < from);
+        let mut ok = from.min(self.next_emit) as usize - failed;
+        (from..self.next_emit).map(move |rep| match self.failures.get(failed) {
+            Some(f) if f.rep == rep => {
+                failed += 1;
+                (rep, RepOutcome::Failed { error: f.error.clone() })
+            }
+            _ => {
+                ok += 1;
+                let (c, w) = (self.completion.sample(), self.waiting.sample());
+                (rep, RepOutcome::Ok { completion: c[ok - 1], waiting: w[ok - 1] })
+            }
+        })
     }
 
     /// Recorded per-rep failures, in repetition order.
@@ -689,10 +680,9 @@ impl MergeState {
         &self.failures
     }
 
-    /// Freeze into the sweep's result. A retained sweep's statistics
-    /// are exact, over its reports in repetition order; a streaming
-    /// one's come from the accumulators. Errors when no repetition
-    /// succeeded.
+    /// Freeze into the sweep's result: the accumulators' statistics, and
+    /// a retained sweep's reports in repetition order. Errors when no
+    /// repetition succeeded.
     pub fn finish(self) -> Result<SweepResult, SweepError> {
         flagsim_telemetry::count("sweep.reps_completed", self.next_emit);
         flagsim_telemetry::count("sweep.failures", self.failures.len() as u64);
@@ -705,24 +695,10 @@ impl MergeState {
                 None => SweepError::NoRepetitions,
             });
         }
-        // A retained sweep keeps a report per success, so at least one.
-        let reports: Vec<RunReport> = self.reports.into_iter().flatten().flatten().collect();
-        let (completion, waiting) = if reports.is_empty() {
-            (self.completion.to_stats(), self.waiting.to_stats())
-        } else {
-            let (completions, waits): (Vec<f64>, Vec<f64>) = reports
-                .iter()
-                .map(|r| (r.completion_secs(), r.total_wait_secs()))
-                .unzip();
-            (
-                RunStats::from_sample(&completions),
-                RunStats::from_sample(&waits),
-            )
-        };
         Ok(SweepResult {
-            completion,
-            waiting,
-            reports,
+            completion: self.completion.to_stats(),
+            waiting: self.waiting.to_stats(),
+            reports: self.reports.into_iter().flatten().flatten().collect(),
             failures: self.failures,
         })
     }
@@ -821,15 +797,14 @@ mod tests {
             .run()
             .unwrap();
         assert!(streamed.reports.is_empty(), "streaming keeps no reports");
-        assert_eq!(streamed.completion.n, retained.completion.n);
-        // The streaming mean is bit-identical; stddev/min/max agree to
-        // float accuracy (see flagsim_metrics::streaming for the exact
-        // contract).
-        assert_eq!(streamed.completion.mean, retained.completion.mean);
-        assert_eq!(streamed.completion.min, retained.completion.min);
-        assert_eq!(streamed.completion.max, retained.completion.max);
-        assert!((streamed.completion.stddev - retained.completion.stddev).abs() < 1e-9);
-        assert_eq!(streamed.waiting.mean, retained.waiting.mean);
+        // One accumulator on both paths: every field, every bit.
+        assert_eq!(streamed.completion, retained.completion);
+        assert_eq!(streamed.waiting, retained.waiting);
+        // And the median is the exact one over the retained reports.
+        let completions: Vec<f64> = retained.reports.iter().map(|r| r.completion_secs()).collect();
+        let exact = RunStats::from_sample(&completions);
+        assert_eq!(streamed.completion.median.to_bits(), exact.median.to_bits());
+        assert_eq!(streamed.completion.mean.to_bits(), exact.mean.to_bits());
     }
 
     #[test]
@@ -932,10 +907,16 @@ mod tests {
                 .jobs(jobs)
                 .retain_reports(false);
             let whole = runner.run().unwrap();
-            // Halt once five reps have merged, then resume the same merge.
+            // Hand out five reps, then resume the same merge. (Stopping
+            // on `merged() < 5` instead lets a slow rep 0 hold the
+            // watermark while the other workers claim everything.)
             let mut merge = MergeState::new(12);
-            runner.run_owed(&mut merge, |m| m.merged() < 5);
-            assert!(merge.merged() >= 5 && !merge.is_complete(), "jobs={jobs}");
+            let mut claims = 0;
+            runner.run_owed(&mut merge, |_| {
+                claims += 1;
+                claims <= 5
+            });
+            assert_eq!(merge.merged(), 5, "jobs={jobs}");
             runner.run_owed(&mut merge, |_| true);
             let resumed = merge.finish().unwrap();
             assert_eq!(resumed.completion, whole.completion, "jobs={jobs}");
@@ -993,7 +974,6 @@ mod tests {
         m.accept(8, ok(1.0));
         assert_eq!(m.merged(), 1);
         assert_eq!(m.missing_ranges(), vec![(1, 4), (6, 8), (9, 10)]);
-        assert_eq!(m.pending_outcomes().len(), 3);
     }
 
     #[test]
@@ -1020,34 +1000,45 @@ mod tests {
     }
 
     #[test]
-    fn restore_replays_pending_into_the_buffer() {
-        let mut whole = MergeState::new(6);
-        for i in 0..6 {
-            whole.accept(i, ok(i as f64));
+    fn replaying_merged_outcomes_rebuilds_the_merge() {
+        let outcome = |i: u64| match i {
+            3 | 7 => RepOutcome::Failed { error: format!("rep {i} broke") },
+            _ => ok((i as f64 * 0.37).sin() + 2.0),
+        };
+        let mut whole = MergeState::new(10);
+        for i in 0..10 {
+            whole.accept(i, outcome(i));
         }
-        // Simulate a checkpoint at watermark 2 with reps 4,5 pending.
-        let mut head = MergeState::new(6);
-        head.accept(0, ok(0.0));
-        head.accept(1, ok(1.0));
-        head.accept(4, ok(4.0));
-        head.accept(5, ok(5.0));
-        let (c, w) = head.accumulators();
-        let mut resumed = MergeState::restore(
-            6,
-            head.merged(),
-            c.clone(),
-            w.clone(),
-            head.failures().to_vec(),
-            head.pending_outcomes(),
+        // Stop at watermark 5 with 8 buffered behind the gap; replay what
+        // merged, re-run the rest (the buffered rep included).
+        let mut head = MergeState::new(10);
+        for i in [0, 1, 2, 3, 4, 8] {
+            head.accept(i, outcome(i));
+        }
+        assert_eq!(head.merged(), 5);
+        let logged: Vec<_> = head.merged_outcomes(0).collect();
+        assert_eq!(logged, (0..5).map(|i| (i, outcome(i))).collect::<Vec<_>>());
+        assert_eq!(head.merged_outcomes(4).collect::<Vec<_>>(), vec![(4, outcome(4))]);
+        assert_eq!(head.merged_outcomes(5).count(), 0);
+        let mut resumed = MergeState::new(10);
+        for (rep, o) in logged {
+            resumed.accept(rep, o);
+        }
+        assert_eq!(resumed.missing_ranges(), vec![(5, 10)]);
+        for i in 5..10 {
+            resumed.accept(i, outcome(i));
+        }
+        assert_eq!(
+            resumed.merged_outcomes(0).collect::<Vec<_>>(),
+            whole.merged_outcomes(0).collect::<Vec<_>>()
         );
-        assert_eq!(resumed.missing_ranges(), vec![(2, 4)]);
-        resumed.accept(2, ok(2.0));
-        resumed.accept(3, ok(3.0));
-        assert!(resumed.is_complete());
-        let a = resumed.finish().unwrap();
-        let b = whole.finish().unwrap();
-        assert_eq!(a.completion.mean.to_bits(), b.completion.mean.to_bits());
-        assert_eq!(a.completion.stddev.to_bits(), b.completion.stddev.to_bits());
-        assert_eq!(a.waiting.mean.to_bits(), b.waiting.mean.to_bits());
+        let (a, b) = (resumed.finish().unwrap(), whole.finish().unwrap());
+        for (x, y) in [(a.completion, b.completion), (a.waiting, b.waiting)] {
+            assert_eq!(x.n, y.n);
+            for (u, v) in [(x.mean, y.mean), (x.stddev, y.stddev), (x.median, y.median)] {
+                assert_eq!(u.to_bits(), v.to_bits());
+            }
+        }
+        assert_eq!(a.failures, b.failures);
     }
 }

@@ -14,7 +14,8 @@
 //!   gained / lost / stayed-incorrect), the exact quantities of Fig. 8.
 //! * [`stats`] / [`streaming`] — mean ± stddev summaries of repeated
 //!   runs, batch ([`RunStats::from_sample`]) or one observation at a
-//!   time in O(1) memory ([`StreamingStats`], for huge parallel sweeps).
+//!   time as a sweep merges them ([`StreamingStats`]: 8 B per
+//!   observation, an exact median, the same mean bits).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -36,20 +36,14 @@ impl RunStats {
         } else {
             0.0
         };
-        let mut sorted = xs.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        let median = if n % 2 == 1 {
-            sorted[n / 2]
-        } else {
-            (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0
-        };
+        let sorted = sorted(xs);
         RunStats {
             n,
             mean,
             stddev: var.sqrt(),
             min: sorted[0],
             max: sorted[n - 1],
-            median,
+            median: sorted_median(&sorted),
         }
     }
 
@@ -74,6 +68,26 @@ impl RunStats {
     /// `"12.3 ± 0.4s"`-style display.
     pub fn display_secs(&self) -> String {
         format!("{:.1} ± {:.1}s", self.mean, self.ci95_half_width())
+    }
+}
+
+/// `xs` sorted ascending. The sort is stable, so values that compare
+/// equal (`0.0` and `-0.0`) keep their sample order, and a median read
+/// off it is the same bits however the sample is summarized.
+pub(crate) fn sorted(xs: &[f64]) -> Vec<f64> {
+    let mut sorted = xs.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    sorted
+}
+
+/// The median of a sorted, non-empty sample: its middle value, or the
+/// midpoint of its two middle values for even n.
+pub(crate) fn sorted_median(sorted: &[f64]) -> f64 {
+    let n = sorted.len();
+    if n % 2 == 1 {
+        sorted[n / 2]
+    } else {
+        (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0
     }
 }
 

@@ -1,235 +1,34 @@
-//! One-pass streaming statistics.
+//! Statistics accumulated one observation at a time, exactly.
 //!
-//! The parallel sweep engine can run hundreds of thousands of
-//! repetitions; retaining every [`RunStats`] input (let alone every run
-//! report) would make memory the bottleneck instead of the CPU. A
-//! [`StreamingStats`] accumulates a sample one observation at a time in
-//! O(1) memory per metric: an exact running sum for the mean, Welford's
-//! recurrence for the variance, exact min/max, and a P² (Jain &
-//! Chlamtac 1985) marker estimate for the median.
+//! A sweep merges its repetitions one by one, in repetition order. A
+//! [`StreamingStats`] takes each observation as it merges: an exact
+//! running sum for the mean, Welford's recurrence for the variance,
+//! exact min/max, and the observation itself (8 B) for an exact median.
+//! A [`push`](StreamingStats::push) is O(1) and touches no earlier
+//! observation; the median sorts a copy of the sample once, when it is
+//! asked for.
 //!
 //! Exactness contract, relied on by the sweep determinism tests:
 //!
-//! * `n`, `min`, `max` are exact;
-//! * `mean` is bit-for-bit identical to [`RunStats::from_sample`] (both
-//!   are a left-to-right sum divided by `n`);
-//! * `stddev` agrees with the two-pass computation to ~1e-9 relative
-//!   (Welford is at least as accurate, but rounds differently);
-//! * `median` is exact for samples of up to five observations and a P²
-//!   estimate beyond that.
-
+//! * `n`, `min` and `max` are exact;
+//! * `mean` and `median` are bit-for-bit those of
+//!   [`RunStats::from_sample`] (a left-to-right sum divided by `n`; the
+//!   same stable sort and the same even-n midpoint);
+//! * `stddev` is Welford's. It agrees with the two-pass computation to
+//!   ~1e-9 relative but rounds differently, and it is the one every
+//!   sweep reports.
 //!
-//! Snapshots: [`StreamingStats::to_json`] serializes the *entire*
-//! accumulator state (count, exact sum, Welford mean/M2, min/max, and
-//! all five P² markers) with every float as its IEEE-754 bit pattern, so
-//! [`StreamingStats::from_json`] restores it bit-for-bit. Snapshot →
-//! restore → keep pushing is indistinguishable from never having
-//! stopped — the property the sharded sweep's checkpoint/resume gate is
-//! built on.
+//! Every field is a function of the pushes in order, so pushing the same
+//! observations in the same order rebuilds an accumulator bit for bit.
+//! That is all a sweep checkpoint needs: it logs the merged outcomes and
+//! replays them on resume.
 
-use crate::stats::RunStats;
-use flagsim_telemetry::json::{self, f64_bits_hex, f64_from_bits_hex, Value};
-use std::fmt::Write as _;
+use crate::stats::{sorted, sorted_median, RunStats};
 
-/// P² single-quantile estimator (five markers). Exact until five
-/// observations have been seen, then O(1) per observation.
-#[derive(Debug, Clone)]
-struct P2Quantile {
-    /// Target quantile in (0, 1).
-    q: f64,
-    /// Marker heights (estimated quantile values).
-    heights: [f64; 5],
-    /// Actual marker positions, 1-based.
-    pos: [f64; 5],
-    /// Desired marker positions.
-    desired: [f64; 5],
-    /// Per-observation increments of the desired positions.
-    incr: [f64; 5],
-    /// Observations seen so far.
-    count: usize,
-}
-
-impl P2Quantile {
-    fn new(q: f64) -> Self {
-        debug_assert!(q > 0.0 && q < 1.0);
-        P2Quantile {
-            q,
-            heights: [0.0; 5],
-            pos: [1.0, 2.0, 3.0, 4.0, 5.0],
-            desired: [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0],
-            incr: [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0],
-            count: 0,
-        }
-    }
-
-    fn push(&mut self, x: f64) {
-        if self.count < 5 {
-            self.heights[self.count] = x;
-            self.count += 1;
-            if self.count == 5 {
-                self.heights
-                    .sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-            }
-            return;
-        }
-        self.count += 1;
-        // Find the cell k such that heights[k] <= x < heights[k+1], and
-        // clamp x into the current extremes.
-        let k = if x < self.heights[0] {
-            self.heights[0] = x;
-            0
-        } else if x >= self.heights[4] {
-            self.heights[4] = x;
-            3
-        } else {
-            // Offset within 1..5 equals the 0-based cell index k such
-            // that heights[k] <= x < heights[k+1].
-            (1..5).position(|i| x < self.heights[i]).unwrap_or(3)
-        };
-        for (i, d) in self.desired.iter_mut().enumerate() {
-            *d += self.incr[i];
-        }
-        for i in (k + 1)..4 {
-            self.pos[i] += 1.0;
-        }
-        self.pos[4] += 1.0;
-        // Adjust the three interior markers toward their desired
-        // positions with the parabolic formula, falling back to linear.
-        for i in 1..4 {
-            let d = self.desired[i] - self.pos[i];
-            if (d >= 1.0 && self.pos[i + 1] - self.pos[i] > 1.0)
-                || (d <= -1.0 && self.pos[i - 1] - self.pos[i] < -1.0)
-            {
-                let d = d.signum();
-                let parabolic = self.heights[i]
-                    + d / (self.pos[i + 1] - self.pos[i - 1])
-                        * ((self.pos[i] - self.pos[i - 1] + d)
-                            * (self.heights[i + 1] - self.heights[i])
-                            / (self.pos[i + 1] - self.pos[i])
-                            + (self.pos[i + 1] - self.pos[i] - d)
-                                * (self.heights[i] - self.heights[i - 1])
-                                / (self.pos[i] - self.pos[i - 1]));
-                if self.heights[i - 1] < parabolic && parabolic < self.heights[i + 1] {
-                    self.heights[i] = parabolic;
-                } else {
-                    // Linear adjustment toward the neighbor in direction d.
-                    let j = if d > 0.0 { i + 1 } else { i - 1 };
-                    self.heights[i] += d * (self.heights[j] - self.heights[i])
-                        / (self.pos[j] - self.pos[i]);
-                }
-                self.pos[i] += d;
-            }
-        }
-    }
-
-    /// The current quantile estimate. Exact (sorted-sample definition,
-    /// with midpoint averaging for the median of an even count) while
-    /// fewer than six observations have been seen.
-    fn estimate(&self) -> f64 {
-        assert!(self.count > 0, "no observations");
-        if self.count <= 5 {
-            let mut sorted = self.heights[..self.count].to_vec();
-            sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-            let n = sorted.len();
-            // Matches RunStats::from_sample's median for q = 0.5.
-            if (self.q - 0.5).abs() < f64::EPSILON {
-                if n % 2 == 1 {
-                    return sorted[n / 2];
-                }
-                return (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0;
-            }
-            let idx = ((n as f64 - 1.0) * self.q).round() as usize;
-            return sorted[idx.min(n - 1)];
-        }
-        self.heights[2]
-    }
-
-    /// Serialize the full marker state into `out` as a JSON object.
-    fn snapshot_into(&self, out: &mut String) {
-        out.push('{');
-        let _ = write!(out, "\"q\":\"{}\",\"count\":{}", f64_bits_hex(self.q), self.count);
-        for (key, arr) in [
-            ("heights", &self.heights),
-            ("pos", &self.pos),
-            ("desired", &self.desired),
-            ("incr", &self.incr),
-        ] {
-            let _ = write!(out, ",\"{key}\":[");
-            for (i, x) in arr.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "\"{}\"", f64_bits_hex(*x));
-            }
-            out.push(']');
-        }
-        out.push('}');
-    }
-
-    /// Restore a marker state serialized by [`P2Quantile::snapshot_into`].
-    fn from_snapshot(v: &Value) -> Result<Self, String> {
-        let q = bits_field(v, "q")?;
-        if !(q > 0.0 && q < 1.0) {
-            return Err(format!("p2 snapshot: quantile {q} out of (0, 1)"));
-        }
-        let count = count_field(v, "count")?;
-        Ok(P2Quantile {
-            q,
-            heights: bits_array5(v, "heights")?,
-            pos: bits_array5(v, "pos")?,
-            desired: bits_array5(v, "desired")?,
-            incr: bits_array5(v, "incr")?,
-            count: count as usize,
-        })
-    }
-}
-
-/// Read a hex-bits f64 field out of a snapshot object.
-fn bits_field(v: &Value, key: &str) -> Result<f64, String> {
-    let s = v
-        .get(key)
-        .and_then(Value::as_str)
-        .ok_or_else(|| format!("snapshot: missing string field {key:?}"))?;
-    f64_from_bits_hex(s).map_err(|e| format!("snapshot field {key:?}: {e}"))
-}
-
-/// Read an exact non-negative integer count (stored as a JSON number;
-/// exact up to 2^53, far beyond any real repetition count).
-fn count_field(v: &Value, key: &str) -> Result<u64, String> {
-    let n = v
-        .get(key)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| format!("snapshot: missing numeric field {key:?}"))?;
-    if !(n.is_finite() && n >= 0.0 && n.fract() == 0.0 && n <= 9.007_199_254_740_992e15) {
-        return Err(format!("snapshot field {key:?}: {n} is not an exact count"));
-    }
-    Ok(n as u64)
-}
-
-/// Read a fixed five-element array of hex-bits f64s.
-fn bits_array5(v: &Value, key: &str) -> Result<[f64; 5], String> {
-    let arr = v
-        .get(key)
-        .and_then(Value::as_array)
-        .ok_or_else(|| format!("snapshot: missing array field {key:?}"))?;
-    if arr.len() != 5 {
-        return Err(format!("snapshot field {key:?}: want 5 elements, got {}", arr.len()));
-    }
-    let mut out = [0.0; 5];
-    for (i, e) in arr.iter().enumerate() {
-        let s = e
-            .as_str()
-            .ok_or_else(|| format!("snapshot field {key:?}[{i}]: not a string"))?;
-        out[i] = f64_from_bits_hex(s).map_err(|e| format!("snapshot field {key:?}[{i}]: {e}"))?;
-    }
-    Ok(out)
-}
-
-/// One-pass accumulator producing the same summary as
-/// [`RunStats::from_sample`] without retaining the sample.
+/// One-pass accumulator producing the summary of
+/// [`RunStats::from_sample`], with Welford's stddev.
 #[derive(Debug, Clone)]
 pub struct StreamingStats {
-    n: u64,
     sum: f64,
     /// Welford running mean (kept separately from `sum / n` because the
     /// variance recurrence needs its own rounding sequence).
@@ -238,7 +37,8 @@ pub struct StreamingStats {
     m2: f64,
     min: f64,
     max: f64,
-    median: P2Quantile,
+    /// Every observation, in push order.
+    sample: Vec<f64>,
 }
 
 impl Default for StreamingStats {
@@ -251,13 +51,12 @@ impl StreamingStats {
     /// An empty accumulator.
     pub fn new() -> Self {
         StreamingStats {
-            n: 0,
             sum: 0.0,
             w_mean: 0.0,
             m2: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
-            median: P2Quantile::new(0.5),
+            sample: Vec::new(),
         }
     }
 
@@ -265,33 +64,37 @@ impl StreamingStats {
     /// [`RunStats::from_sample`].
     pub fn push(&mut self, x: f64) {
         assert!(x.is_finite(), "sample contains non-finite values");
-        self.n += 1;
+        self.sample.push(x);
         self.sum += x;
         let delta = x - self.w_mean;
-        self.w_mean += delta / self.n as f64;
+        self.w_mean += delta / self.sample.len() as f64;
         self.m2 += delta * (x - self.w_mean);
         self.min = self.min.min(x);
         self.max = self.max.max(x);
-        self.median.push(x);
     }
 
     /// Observations seen so far.
     pub fn n(&self) -> u64 {
-        self.n
+        self.sample.len() as u64
+    }
+
+    /// The observations, in push order.
+    pub fn sample(&self) -> &[f64] {
+        &self.sample
     }
 
     /// Running mean (bit-identical to the two-pass mean).
     pub fn mean(&self) -> f64 {
-        assert!(self.n > 0, "no observations");
-        self.sum / self.n as f64
+        assert!(self.n() > 0, "no observations");
+        self.sum / self.n() as f64
     }
 
     /// Sample variance (n−1 denominator; 0 for n < 2).
     pub fn variance(&self) -> f64 {
-        if self.n < 2 {
+        if self.n() < 2 {
             0.0
         } else {
-            self.m2 / (self.n - 1) as f64
+            self.m2 / (self.n() - 1) as f64
         }
     }
 
@@ -302,83 +105,35 @@ impl StreamingStats {
 
     /// Smallest observation.
     pub fn min(&self) -> f64 {
-        assert!(self.n > 0, "no observations");
+        assert!(self.n() > 0, "no observations");
         self.min
     }
 
     /// Largest observation.
     pub fn max(&self) -> f64 {
-        assert!(self.n > 0, "no observations");
+        assert!(self.n() > 0, "no observations");
         self.max
     }
 
-    /// Median: exact for up to five observations, P² estimate beyond.
-    pub fn median_estimate(&self) -> f64 {
-        self.median.estimate()
-    }
-
-    /// Serialize the complete accumulator state as one JSON object.
-    /// Every float is shipped as its IEEE-754 bit pattern
-    /// ([`f64_bits_hex`]), so [`StreamingStats::from_json`] restores the
-    /// accumulator *bit-for-bit*: continuing to push after a restore
-    /// produces exactly the statistics an uninterrupted accumulator
-    /// would (property-tested in `tests/prop_metrics.rs`).
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(512);
-        out.push('{');
-        let _ = write!(
-            out,
-            "\"n\":{},\"sum\":\"{}\",\"w_mean\":\"{}\",\"m2\":\"{}\",\"min\":\"{}\",\"max\":\"{}\",\"median\":",
-            self.n,
-            f64_bits_hex(self.sum),
-            f64_bits_hex(self.w_mean),
-            f64_bits_hex(self.m2),
-            f64_bits_hex(self.min),
-            f64_bits_hex(self.max),
-        );
-        self.median.snapshot_into(&mut out);
-        out.push('}');
-        out
-    }
-
-    /// Restore an accumulator serialized by [`StreamingStats::to_json`].
-    /// The restored state is bit-identical: `n()`, `mean()`, `stddev()`,
-    /// `min()`, `max()`, and `median_estimate()` all return exactly what
-    /// the snapshotted accumulator returned, and further `push`es follow
-    /// the identical rounding sequence.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        let v = json::parse(text).map_err(|e| format!("streaming snapshot: {e}"))?;
-        Self::from_value(&v)
-    }
-
-    /// Restore from an already-parsed snapshot [`Value`] (checkpoint
-    /// files embed several snapshots in one document).
-    pub fn from_value(v: &Value) -> Result<Self, String> {
-        let median = v
-            .get("median")
-            .ok_or("streaming snapshot: missing field \"median\"")?;
-        Ok(StreamingStats {
-            n: count_field(v, "n")?,
-            sum: bits_field(v, "sum")?,
-            w_mean: bits_field(v, "w_mean")?,
-            m2: bits_field(v, "m2")?,
-            min: bits_field(v, "min")?,
-            max: bits_field(v, "max")?,
-            median: P2Quantile::from_snapshot(median)?,
-        })
+    /// The exact median, bit-identical to [`RunStats::from_sample`]'s.
+    /// Sorts a copy of the sample: O(n log n), so call it once per
+    /// summary, never per observation.
+    pub fn median(&self) -> f64 {
+        assert!(self.n() > 0, "no observations");
+        sorted_median(&sorted(&self.sample))
     }
 
     /// Freeze into a [`RunStats`] summary. Panics if no observations
     /// were pushed, mirroring `from_sample`'s empty-sample panic.
     pub fn to_stats(&self) -> RunStats {
-        assert!(self.n > 0, "empty sample");
+        assert!(self.n() > 0, "empty sample");
         RunStats {
-            n: self.n as usize,
+            n: self.sample.len(),
             mean: self.mean(),
             stddev: self.stddev(),
             min: self.min,
             max: self.max,
-            median: self.median_estimate(),
+            median: self.median(),
         }
     }
 }
@@ -400,151 +155,64 @@ mod tests {
             .collect()
     }
 
+    fn fold(xs: &[f64]) -> StreamingStats {
+        let mut s = StreamingStats::new();
+        for &x in xs {
+            s.push(x);
+        }
+        s
+    }
+
     #[test]
     fn matches_from_sample_exactly_where_promised() {
-        for n in [1, 2, 3, 4, 5, 6, 17, 100] {
+        for n in [1, 2, 3, 4, 5, 6, 17, 100, 10_000] {
             let xs = pseudo_random(n);
             let exact = RunStats::from_sample(&xs);
-            let mut s = StreamingStats::new();
-            for &x in &xs {
-                s.push(x);
-            }
-            let got = s.to_stats();
+            let got = fold(&xs).to_stats();
             assert_eq!(got.n, exact.n);
             assert_eq!(got.mean.to_bits(), exact.mean.to_bits(), "n={n}");
+            assert_eq!(got.median.to_bits(), exact.median.to_bits(), "n={n}");
             assert_eq!(got.min, exact.min);
             assert_eq!(got.max, exact.max);
             let tol = 1e-9 * exact.stddev.max(1.0);
             assert!((got.stddev - exact.stddev).abs() < tol, "n={n}");
-            if n <= 5 {
-                assert_eq!(got.median, exact.median, "small-n median is exact");
-            }
         }
     }
 
     #[test]
-    fn p2_median_close_on_large_uniform_sample() {
-        let xs = pseudo_random(10_000);
-        let exact = RunStats::from_sample(&xs);
-        let mut s = StreamingStats::new();
-        for &x in &xs {
-            s.push(x);
+    fn median_orders_signed_zeros_like_from_sample() {
+        // 0.0 and -0.0 compare equal; the stable sort keeps sample order,
+        // so the middle value's sign bit matches from_sample's.
+        for xs in [[0.0, -0.0, 1.0], [-0.0, 0.0, -1.0]] {
+            let exact = RunStats::from_sample(&xs).median;
+            assert_eq!(fold(&xs).median().to_bits(), exact.to_bits(), "{xs:?}");
         }
-        let est = s.median_estimate();
-        // P² on a well-behaved distribution: within 1% of the range.
-        let range = exact.max - exact.min;
-        assert!(
-            (est - exact.median).abs() < 0.01 * range,
-            "estimate {est} vs exact {}",
-            exact.median
-        );
-        assert!(est >= exact.min && est <= exact.max);
-    }
-
-    #[test]
-    fn p2_exact_on_sorted_quintet() {
-        let mut s = StreamingStats::new();
-        for x in [5.0, 1.0, 4.0, 2.0, 3.0] {
-            s.push(x);
-        }
-        assert_eq!(s.median_estimate(), 3.0);
     }
 
     #[test]
     fn even_small_sample_median_matches_midpoint() {
-        let mut s = StreamingStats::new();
-        for x in [4.0, 1.0, 3.0, 2.0] {
-            s.push(x);
-        }
-        assert_eq!(s.median_estimate(), 2.5);
+        assert_eq!(fold(&[4.0, 1.0, 3.0, 2.0]).median(), 2.5);
+        assert_eq!(fold(&[5.0, 1.0, 4.0, 2.0, 3.0]).median(), 3.0);
     }
 
     #[test]
     fn variance_of_constant_sample_is_zero() {
-        let mut s = StreamingStats::new();
-        for _ in 0..1000 {
-            s.push(7.5);
-        }
+        let s = fold(&[7.5; 1000]);
         assert_eq!(s.stddev(), 0.0);
         assert_eq!(s.mean(), 7.5);
-        assert_eq!(s.median_estimate(), 7.5);
+        assert_eq!(s.median(), 7.5);
+    }
+
+    #[test]
+    fn sample_keeps_push_order() {
+        let xs = pseudo_random(9);
+        assert_eq!(fold(&xs).sample(), &xs[..]);
     }
 
     #[test]
     #[should_panic(expected = "non-finite")]
     fn non_finite_rejected() {
         StreamingStats::new().push(f64::NAN);
-    }
-
-    #[test]
-    fn snapshot_round_trips_bit_for_bit() {
-        for n in [0, 1, 3, 5, 6, 17, 1000] {
-            let mut s = StreamingStats::new();
-            for x in pseudo_random(n) {
-                s.push(x);
-            }
-            let restored = StreamingStats::from_json(&s.to_json()).unwrap();
-            assert_eq!(restored.n, s.n, "n={n}");
-            assert_eq!(restored.sum.to_bits(), s.sum.to_bits());
-            assert_eq!(restored.w_mean.to_bits(), s.w_mean.to_bits());
-            assert_eq!(restored.m2.to_bits(), s.m2.to_bits());
-            assert_eq!(restored.min.to_bits(), s.min.to_bits());
-            assert_eq!(restored.max.to_bits(), s.max.to_bits());
-            assert_eq!(restored.median.count, s.median.count);
-            for i in 0..5 {
-                assert_eq!(restored.median.heights[i].to_bits(), s.median.heights[i].to_bits());
-                assert_eq!(restored.median.pos[i].to_bits(), s.median.pos[i].to_bits());
-                assert_eq!(restored.median.desired[i].to_bits(), s.median.desired[i].to_bits());
-                assert_eq!(restored.median.incr[i].to_bits(), s.median.incr[i].to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn restore_then_continue_equals_uninterrupted() {
-        // The checkpoint/resume contract in miniature: split the stream
-        // at every prefix length and the final summary must be
-        // bit-identical to never having stopped.
-        let xs = pseudo_random(200);
-        let mut whole = StreamingStats::new();
-        for &x in &xs {
-            whole.push(x);
-        }
-        for cut in [0, 1, 4, 5, 6, 99, 200] {
-            let mut first = StreamingStats::new();
-            for &x in &xs[..cut] {
-                first.push(x);
-            }
-            let mut resumed = StreamingStats::from_json(&first.to_json()).unwrap();
-            for &x in &xs[cut..] {
-                resumed.push(x);
-            }
-            let (a, b) = (resumed.to_stats(), whole.to_stats());
-            assert_eq!(a.mean.to_bits(), b.mean.to_bits(), "cut={cut}");
-            assert_eq!(a.stddev.to_bits(), b.stddev.to_bits(), "cut={cut}");
-            assert_eq!(a.median.to_bits(), b.median.to_bits(), "cut={cut}");
-            assert_eq!(a.min, b.min);
-            assert_eq!(a.max, b.max);
-            assert_eq!(a.n, b.n);
-        }
-    }
-
-    #[test]
-    fn from_json_rejects_malformed_snapshots() {
-        assert!(StreamingStats::from_json("not json").is_err());
-        assert!(StreamingStats::from_json("{}").is_err());
-        // Truncated bits string.
-        let mut s = StreamingStats::new();
-        s.push(1.0);
-        let good = s.to_json();
-        let bad = good.replacen("\"sum\":\"", "\"sum\":\"zz", 1);
-        assert!(StreamingStats::from_json(&bad).is_err());
-        // Wrong marker-array arity.
-        let bad = good.replacen("\"heights\":[", "\"heights\":[\"0000000000000000\",", 1);
-        assert!(StreamingStats::from_json(&bad).is_err());
-        // A count that is not an exact integer.
-        let bad = good.replacen("\"n\":1", "\"n\":1.5", 1);
-        assert!(StreamingStats::from_json(&bad).is_err());
     }
 
     #[test]

@@ -61,13 +61,12 @@ proptest! {
     }
 
     /// Streaming statistics match the batch `RunStats::from_sample` on
-    /// arbitrary samples: n/min/max exactly, the mean bit-for-bit (both
-    /// are a left fold divided by n), the stddev to 1e-9 relative
-    /// (Welford vs two-pass round differently), and the median exactly
-    /// while the P² estimator is still in its exact (n ≤ 5) regime —
-    /// beyond that it is an estimate bounded by [min, max].
+    /// arbitrary samples: n/min/max exactly, the mean and the median bit
+    /// for bit at every n (a left fold divided by n; the same stable
+    /// sort and even-n midpoint), and the stddev to 1e-9 relative
+    /// (Welford vs two-pass round differently).
     #[test]
-    fn streaming_matches_from_sample(xs in proptest::collection::vec(0.0f64..1e6, 1..80)) {
+    fn streaming_matches_from_sample(xs in proptest::collection::vec(0.0f64..1e6, 1..300)) {
         let exact = RunStats::from_sample(&xs);
         let mut acc = StreamingStats::new();
         for &x in &xs {
@@ -76,54 +75,12 @@ proptest! {
         let got = acc.to_stats();
         prop_assert_eq!(got.n, exact.n);
         prop_assert_eq!(got.mean.to_bits(), exact.mean.to_bits(), "mean not bit-identical");
+        prop_assert_eq!(got.median.to_bits(), exact.median.to_bits(), "median not bit-identical");
         prop_assert_eq!(got.min, exact.min);
         prop_assert_eq!(got.max, exact.max);
         let tol = 1e-9 * exact.stddev.max(1.0);
         prop_assert!((got.stddev - exact.stddev).abs() <= tol,
                      "stddev {} vs {}", got.stddev, exact.stddev);
-        if xs.len() <= 5 {
-            prop_assert_eq!(got.median, exact.median);
-        } else {
-            prop_assert!(got.median >= exact.min && got.median <= exact.max);
-        }
-    }
-
-    /// Snapshot → restore → continue pushing is indistinguishable from an
-    /// uninterrupted push sequence: for an arbitrary sample and an
-    /// arbitrary cut point, serializing the accumulator at the cut and
-    /// resuming from the JSON yields bit-identical final statistics
-    /// (mean, stddev, median, min, max, n) — the checkpoint/resume
-    /// contract the sharded sweep relies on.
-    #[test]
-    fn snapshot_restore_continue_equals_uninterrupted(
-        xs in proptest::collection::vec(0.0f64..1e6, 1..120),
-        cut_frac in 0.0f64..=1.0,
-    ) {
-        let cut = ((xs.len() as f64) * cut_frac) as usize;
-        let cut = cut.min(xs.len());
-        let mut whole = StreamingStats::new();
-        for &x in &xs {
-            whole.push(x);
-        }
-        let mut first = StreamingStats::new();
-        for &x in &xs[..cut] {
-            first.push(x);
-        }
-        let snapshot = first.to_json();
-        let mut resumed = StreamingStats::from_json(&snapshot)
-            .expect("snapshot must round-trip");
-        for &x in &xs[cut..] {
-            resumed.push(x);
-        }
-        let (a, b) = (resumed.to_stats(), whole.to_stats());
-        prop_assert_eq!(a.n, b.n);
-        prop_assert_eq!(a.mean.to_bits(), b.mean.to_bits(), "mean diverged");
-        prop_assert_eq!(a.stddev.to_bits(), b.stddev.to_bits(), "stddev diverged");
-        prop_assert_eq!(a.median.to_bits(), b.median.to_bits(), "median diverged");
-        prop_assert_eq!(a.min.to_bits(), b.min.to_bits());
-        prop_assert_eq!(a.max.to_bits(), b.max.to_bits());
-        // And a second snapshot taken at the end agrees byte-for-byte.
-        prop_assert_eq!(resumed.to_json(), whole.to_json());
     }
 
     /// Transition percentages always total 100 for nonempty cohorts, and

@@ -1,123 +1,72 @@
 //! Durable sweep checkpoints: kill the process, resume the campaign,
 //! finish with bit-identical statistics.
 //!
-//! A checkpoint is the coordinator's merge state — core's one
-//! [`MergeState`], which every in-process, sharded and resumed sweep
-//! folds through — frozen to JSON: the job's canonical spec and
-//! fingerprint, the merged-rep *watermark*, exact bit-level
-//! [`StreamingStats`](flagsim_metrics::StreamingStats) snapshots of both
-//! accumulators (every float as IEEE-754 hex bits — see
-//! `metrics::streaming`), the recorded per-rep failures, and any
-//! completed-but-unmerged repetitions still parked in the reorder
-//! buffer. Restoring replays the pending set into a fresh
-//! [`MergeState`], so the resumed campaign owes exactly the reps the
-//! killed one never finished (its `missing_ranges`, which the
-//! coordinator leases out or runs in-process), and the accumulators
-//! continue from the same internal state they would have had — which is
-//! what makes resume-after-kill equal an uninterrupted run bit for bit.
+//! A checkpoint is the log of a campaign's merged outcomes. Its first
+//! line is a header: the format version, the job's fingerprint and its
+//! canonical spec. Every later line is one merged repetition's outcome,
+//! in rep order, in the fields of the wire's `rep` frame (floats as
+//! IEEE-754 hex bits). Resuming replays the lines into a fresh
+//! [`MergeState`]. The accumulators are a function of the merged
+//! outcomes in order, so the replay rebuilds them bit for bit, and the
+//! resumed campaign owes exactly the reps past the log (its
+//! `missing_ranges`, which the coordinator leases out or runs
+//! in-process). Outcomes that had finished but sat in the reorder
+//! buffer behind a gap are not logged: resume re-runs them, as it
+//! re-runs leased-but-unreported reps, and per-rep seeds make the re-run
+//! identical.
 //!
-//! Files are written atomically (temp file + rename) so a kill *during*
-//! a checkpoint write leaves the previous checkpoint intact, and
-//! [`load`](Checkpoint::load) refuses files whose fingerprint does not
-//! match their own job spec (truncation, tampering, or a spec edit).
+//! [`CheckpointLog`] keeps one run's file current. Its first save writes
+//! the whole file atomically (temp file, fsync, rename), so a kill
+//! mid-save leaves the previous checkpoint intact; each later save
+//! appends only the lines merged since, then fsyncs. A kill mid-append
+//! can leave a last line without its newline, which
+//! [`load`](Checkpoint::load) drops (that rep is owed again). Any
+//! complete line that does not parse, or whose rep is not its place in
+//! the log, is an error, as is a header whose fingerprint does not match
+//! its own job spec (tampering or a spec edit).
 
 use crate::job::JobSpec;
 use crate::wire::{read_outcome, write_outcome};
-use flagsim_core::sweep::{MergeState, RepOutcome, SweepFailure};
-use flagsim_metrics::StreamingStats;
+use flagsim_core::sweep::{MergeState, RepOutcome};
 use flagsim_telemetry::json::{self, json_string, Value};
-use std::fmt::Write as _;
 use std::fs;
-use std::io;
-use std::path::Path;
+use std::io::{self, Write as _};
+use std::path::{Path, PathBuf};
 
 /// Checkpoint file format revision.
-pub const CHECKPOINT_VERSION: u64 = 1;
+pub const CHECKPOINT_VERSION: u64 = 2;
 
-/// A sweep campaign frozen mid-flight.
+/// A sweep campaign as its checkpoint file recorded it.
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
     /// The campaign's job spec (source of truth on resume).
     pub job: JobSpec,
-    /// Reps `0..watermark` are folded into the accumulators.
-    pub watermark: u64,
-    /// Completion-seconds accumulator, bit-exact.
-    pub completion: StreamingStats,
-    /// Waiting-seconds accumulator, bit-exact.
-    pub waiting: StreamingStats,
-    /// Per-rep failures recorded so far, in rep order.
-    pub failures: Vec<SweepFailure>,
-    /// Completed-but-unmerged outcomes (above the watermark, behind a
-    /// gap).
-    pub pending: Vec<(u64, RepOutcome)>,
+    /// The merged outcomes of reps `0..outcomes.len()`, in rep order.
+    pub outcomes: Vec<RepOutcome>,
 }
 
 impl Checkpoint {
-    /// Freeze a merge state (plus its job) into a checkpoint.
-    pub fn from_merge(job: &JobSpec, merge: &MergeState) -> Self {
-        let (completion, waiting) = merge.accumulators();
-        Checkpoint {
-            job: job.clone(),
-            watermark: merge.merged(),
-            completion: completion.clone(),
-            waiting: waiting.clone(),
-            failures: merge.failures().to_vec(),
-            pending: merge.pending_outcomes(),
-        }
+    /// Reps `0..watermark()` had merged when the log was last saved.
+    pub fn watermark(&self) -> u64 {
+        self.outcomes.len() as u64
     }
 
-    /// Thaw back into a merge state ready to accept the missing reps.
+    /// Replay the log into a fresh merge state, ready to accept the
+    /// missing reps.
     pub fn into_merge(self) -> MergeState {
-        MergeState::restore(
-            self.job.reps,
-            self.watermark,
-            self.completion,
-            self.waiting,
-            self.failures,
-            self.pending,
-        )
+        let mut merge = MergeState::new(self.job.reps);
+        for (rep, outcome) in self.outcomes.into_iter().enumerate() {
+            merge.accept(rep as u64, outcome);
+        }
+        merge
     }
 
-    /// Serialize to the checkpoint JSON document.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        let _ = write!(
-            out,
-            "{{\"version\":{CHECKPOINT_VERSION},\"fingerprint\":{},\"job\":{},\"watermark\":\"{}\"",
-            json_string(&self.job.fingerprint()),
-            self.job.to_json(),
-            self.watermark,
-        );
-        let _ = write!(out, ",\"completion\":{}", self.completion.to_json());
-        let _ = write!(out, ",\"waiting\":{}", self.waiting.to_json());
-        out.push_str(",\"failures\":[");
-        for (i, f) in self.failures.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"rep\":\"{}\",\"error\":{}}}",
-                f.rep,
-                json_string(&f.error)
-            );
-        }
-        out.push_str("],\"pending\":[");
-        for (i, (rep, outcome)) in self.pending.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('{');
-            write_outcome(&mut out, *rep, outcome);
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
-    }
-
-    /// Parse a checkpoint document, verifying version and fingerprint.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        let v = json::parse(text).map_err(|e| format!("checkpoint: {e}"))?;
+    /// Parse a checkpoint log, verifying its version, its fingerprint
+    /// and the order of its lines. A last line without its newline (a
+    /// torn append) is dropped.
+    pub fn parse(text: &str) -> Result<Self, String> {
+        let (header, body) = text.split_once('\n').unwrap_or((text, ""));
+        let v = json::parse(header).map_err(|e| format!("checkpoint: {e}"))?;
         let version = v
             .get("version")
             .and_then(Value::as_f64)
@@ -128,8 +77,7 @@ impl Checkpoint {
                 "checkpoint: version {version} unsupported (this build reads {CHECKPOINT_VERSION})"
             ));
         }
-        let job_v = v.get("job").ok_or("checkpoint: missing job")?;
-        let job = JobSpec::from_value(job_v)?;
+        let job = JobSpec::from_value(v.get("job").ok_or("checkpoint: missing job")?)?;
         let recorded = v
             .get("fingerprint")
             .and_then(Value::as_str)
@@ -141,77 +89,97 @@ impl Checkpoint {
                 job.fingerprint()
             ));
         }
-        let watermark = v
-            .get("watermark")
-            .and_then(Value::as_str)
-            .ok_or("checkpoint: missing watermark")?
-            .parse::<u64>()
-            .map_err(|_| "checkpoint: watermark is not a u64")?;
-        if watermark > job.reps {
-            return Err(format!(
-                "checkpoint: watermark {watermark} exceeds the job's {} reps",
-                job.reps
-            ));
+        let complete = body.rsplit_once('\n').map_or("", |(lines, _torn)| lines);
+        let mut outcomes = Vec::new();
+        for (i, line) in complete.lines().enumerate() {
+            let at = |e: String| format!("checkpoint line {}: {e}", i + 2);
+            let v = json::parse(line).map_err(|e| at(e.to_string()))?;
+            let (rep, outcome) = read_outcome(&v, "outcome").map_err(at)?;
+            if rep != i as u64 {
+                return Err(at(format!("rep {rep} out of order (expected rep {i})")));
+            }
+            if rep >= job.reps {
+                return Err(at(format!("rep {rep} beyond the job's {} reps", job.reps)));
+            }
+            outcomes.push(outcome);
         }
-        let completion = StreamingStats::from_value(
-            v.get("completion").ok_or("checkpoint: missing completion")?,
-        )?;
-        let waiting =
-            StreamingStats::from_value(v.get("waiting").ok_or("checkpoint: missing waiting")?)?;
-        let mut failures = Vec::new();
-        for f in v
-            .get("failures")
-            .and_then(Value::as_array)
-            .ok_or("checkpoint: missing failures")?
-        {
-            let rep = f
-                .get("rep")
-                .and_then(Value::as_str)
-                .ok_or("checkpoint: failure missing rep")?
-                .parse::<u64>()
-                .map_err(|_| "checkpoint: failure rep is not a u64")?;
-            let error = f
-                .get("error")
-                .and_then(Value::as_str)
-                .ok_or("checkpoint: failure missing error")?
-                .to_owned();
-            failures.push(SweepFailure { rep, error });
-        }
-        let mut pending = Vec::new();
-        for p in v
-            .get("pending")
-            .and_then(Value::as_array)
-            .ok_or("checkpoint: missing pending")?
-        {
-            pending.push(read_outcome(p, "checkpoint: pending entry")?);
-        }
-        Ok(Checkpoint {
-            job,
-            watermark,
-            completion,
-            waiting,
-            failures,
-            pending,
-        })
-    }
-
-    /// Write atomically: serialize to `<path>.tmp`, fsync, rename over
-    /// `path`. A kill mid-write leaves the previous checkpoint intact.
-    pub fn save(&self, path: &Path) -> io::Result<()> {
-        let tmp = path.with_extension("tmp");
-        {
-            let mut f = fs::File::create(&tmp)?;
-            io::Write::write_all(&mut f, self.to_json().as_bytes())?;
-            f.sync_all()?;
-        }
-        fs::rename(&tmp, path)
+        Ok(Checkpoint { job, outcomes })
     }
 
     /// Read and validate a checkpoint file.
     pub fn load(path: &Path) -> Result<Self, String> {
         let text = fs::read_to_string(path)
             .map_err(|e| format!("checkpoint {}: {e}", path.display()))?;
-        Self::from_json(&text).map_err(|e| format!("checkpoint {}: {e}", path.display()))
+        Self::parse(&text).map_err(|e| format!("checkpoint {}: {e}", path.display()))
+    }
+}
+
+/// The header line of `job`'s checkpoint, newline included.
+fn header(job: &JobSpec) -> String {
+    format!(
+        "{{\"version\":{CHECKPOINT_VERSION},\"fingerprint\":{},\"job\":{}}}\n",
+        json_string(&job.fingerprint()),
+        job.to_json(),
+    )
+}
+
+/// Append one line per outcome `merge` has merged from rep `from` on.
+fn push_lines(out: &mut String, merge: &MergeState, from: u64) {
+    for (rep, outcome) in merge.merged_outcomes(from) {
+        out.push('{');
+        write_outcome(out, rep, &outcome);
+        out.push_str("}\n");
+    }
+}
+
+/// One run's checkpoint file, kept current with its merge: the first
+/// save writes the file whole and atomically, each later save appends
+/// the lines merged since the one before.
+#[derive(Debug)]
+pub struct CheckpointLog {
+    path: PathBuf,
+    /// Reps the file holds.
+    saved: u64,
+    /// Whether this run has written the file yet.
+    appending: bool,
+}
+
+impl CheckpointLog {
+    /// The log at `path` of a run whose merge starts with `saved` reps
+    /// merged: 0, or the watermark of the checkpoint it resumes.
+    pub fn new(path: PathBuf, saved: u64) -> Self {
+        CheckpointLog { path, saved, appending: false }
+    }
+
+    /// Reps merged as of the last save.
+    pub fn saved(&self) -> u64 {
+        self.saved
+    }
+
+    /// Bring the file up to `merge`, the merge of `job`.
+    pub fn save(&mut self, job: &JobSpec, merge: &MergeState) -> io::Result<()> {
+        if self.appending {
+            if merge.merged() > self.saved {
+                let mut text = String::new();
+                push_lines(&mut text, merge, self.saved);
+                let mut f = fs::OpenOptions::new().append(true).open(&self.path)?;
+                f.write_all(text.as_bytes())?;
+                f.sync_all()?;
+            }
+        } else {
+            let mut text = header(job);
+            push_lines(&mut text, merge, 0);
+            let tmp = self.path.with_extension("tmp");
+            {
+                let mut f = fs::File::create(&tmp)?;
+                f.write_all(text.as_bytes())?;
+                f.sync_all()?;
+            }
+            fs::rename(&tmp, &self.path)?;
+            self.appending = true;
+        }
+        self.saved = merge.merged();
+        Ok(())
     }
 }
 
@@ -231,29 +199,44 @@ mod tests {
         }
     }
 
+    fn outcome(i: u64) -> RepOutcome {
+        match i {
+            5 => RepOutcome::Failed { error: "marker ran dry".into() },
+            _ => RepOutcome::Ok { completion: 1.0 / (i + 1) as f64, waiting: 0.5 },
+        }
+    }
+
+    /// A merge at watermark 6 with rep 8 buffered behind the gap.
     fn merge_with_gap() -> MergeState {
         let mut m = MergeState::new(12);
-        for i in 0..5u64 {
-            m.accept(i, RepOutcome::Ok { completion: 1.0 / (i + 1) as f64, waiting: 0.5 });
+        for i in [0, 1, 2, 3, 4, 5, 8] {
+            m.accept(i, outcome(i));
         }
-        m.accept(5, RepOutcome::Failed { error: "marker ran dry".into() });
-        m.accept(8, RepOutcome::Ok { completion: 0.125, waiting: 0.25 }); // buffered
         m
     }
 
+    /// The whole checkpoint text of `merge`.
+    fn log_text(merge: &MergeState) -> String {
+        let mut text = header(&job());
+        push_lines(&mut text, merge, 0);
+        text
+    }
+
+    fn temp_path(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("flagsim-ckpt-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        dir.join(name)
+    }
+
     #[test]
-    fn round_trip_preserves_every_bit_of_merge_state() {
-        let m = merge_with_gap();
-        let ck = Checkpoint::from_merge(&job(), &m);
-        let back = Checkpoint::from_json(&ck.to_json()).unwrap();
-        assert_eq!(back.watermark, 6);
-        assert_eq!(back.failures.len(), 1);
-        assert_eq!(back.pending, vec![(8, RepOutcome::Ok { completion: 0.125, waiting: 0.25 })]);
-        assert_eq!(back.completion.to_json(), ck.completion.to_json());
-        assert_eq!(back.waiting.to_json(), ck.waiting.to_json());
-        // Thawed merge owes exactly the missing reps.
+    fn round_trip_logs_merged_outcomes_and_drops_the_buffer() {
+        let back = Checkpoint::parse(&log_text(&merge_with_gap())).unwrap();
+        assert_eq!(back.watermark(), 6);
+        assert_eq!(back.outcomes, (0..6).map(outcome).collect::<Vec<_>>());
+        // The buffered rep 8 is owed again, with the gap before it.
         let restored = back.into_merge();
-        assert_eq!(restored.missing_ranges(), vec![(6, 8), (9, 12)]);
+        assert_eq!(restored.missing_ranges(), vec![(6, 12)]);
+        assert_eq!(restored.failures().len(), 1);
     }
 
     #[test]
@@ -271,8 +254,7 @@ mod tests {
             head.accept(i, outcome(i));
         }
         head.accept(10, outcome(10));
-        let ck = Checkpoint::from_merge(&job(), &head);
-        let mut resumed = Checkpoint::from_json(&ck.to_json()).unwrap().into_merge();
+        let mut resumed = Checkpoint::parse(&log_text(&head)).unwrap().into_merge();
         for (s, e) in resumed.missing_ranges() {
             for i in s..e {
                 resumed.accept(i, outcome(i));
@@ -289,6 +271,7 @@ mod tests {
             (a.max, b.max),
             (aw.mean, bw.mean),
             (aw.stddev, bw.stddev),
+            (aw.median, bw.median),
         ] {
             assert_eq!(x.to_bits(), y.to_bits());
         }
@@ -296,37 +279,96 @@ mod tests {
 
     #[test]
     fn fingerprint_mismatch_is_rejected() {
-        let ck = Checkpoint::from_merge(&job(), &merge_with_gap());
-        let text = ck.to_json();
+        let text = log_text(&merge_with_gap());
         // Tamper with the job's seed; the recorded fingerprint no longer
         // matches the spec it sits next to.
         let tampered = text.replace("\"seed\":\"42\"", "\"seed\":\"43\"");
         assert_ne!(tampered, text);
-        let err = Checkpoint::from_json(&tampered).unwrap_err();
+        let err = Checkpoint::parse(&tampered).unwrap_err();
         assert!(err.contains("fingerprint"), "{err}");
     }
 
     #[test]
     fn malformed_checkpoints_are_rejected() {
-        assert!(Checkpoint::from_json("not json").is_err());
-        assert!(Checkpoint::from_json("{\"version\":9}").is_err());
-        let ck = Checkpoint::from_merge(&job(), &merge_with_gap());
-        let text = ck.to_json().replace("\"watermark\":\"6\"", "\"watermark\":\"99\"");
-        let err = Checkpoint::from_json(&text).unwrap_err();
-        assert!(err.contains("watermark"), "{err}");
+        assert!(Checkpoint::parse("not json").is_err());
+        assert!(Checkpoint::parse("{\"version\":9}").is_err());
+        let text = log_text(&merge_with_gap());
+        let bad = text.replacen("\"ok\":true", "\"ok\":maybe", 1);
+        let err = Checkpoint::parse(&bad).unwrap_err();
+        assert!(err.contains("line 2"), "{err}");
+        // A log longer than the job is corrupt, not a bigger campaign.
+        let mut long = MergeState::new(13);
+        for i in 0..13 {
+            long.accept(i, outcome(i));
+        }
+        let err = Checkpoint::parse(&log_text(&long)).unwrap_err();
+        assert!(err.contains("beyond the job's 12 reps"), "{err}");
     }
 
     #[test]
-    fn save_is_atomic_and_load_round_trips() {
-        let dir = std::env::temp_dir().join(format!("flagsim-ckpt-{}", std::process::id()));
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("sweep.ckpt");
-        let ck = Checkpoint::from_merge(&job(), &merge_with_gap());
-        ck.save(&path).unwrap();
+    fn version_1_files_are_refused() {
+        let v1 = "{\"version\":1,\"fingerprint\":\"00\",\"job\":{},\"watermark\":\"0\"}";
+        let err = Checkpoint::parse(v1).unwrap_err();
+        assert!(err.contains("version 1 unsupported"), "{err}");
+    }
+
+    #[test]
+    fn a_torn_last_line_is_dropped() {
+        let text = log_text(&merge_with_gap());
+        // Cut the last line anywhere short of its newline: a kill
+        // mid-append.
+        let last = text[..text.len() - 1].rfind('\n').unwrap() + 1;
+        for cut in [last + 1, last + 9, text.len() - 1] {
+            let back = Checkpoint::parse(&text[..cut]).unwrap();
+            assert_eq!(back.watermark(), 5, "cut at {cut}");
+        }
+        assert_eq!(Checkpoint::parse(&text[..last]).unwrap().watermark(), 5);
+        assert_eq!(Checkpoint::parse(&text).unwrap().watermark(), 6);
+    }
+
+    #[test]
+    fn a_complete_out_of_order_line_is_rejected() {
+        let text = log_text(&merge_with_gap());
+        let swapped = text.replacen("\"rep\":\"1\"", "\"rep\":\"2\"", 1);
+        let err = Checkpoint::parse(&swapped).unwrap_err();
+        assert!(err.contains("line 3") && err.contains("out of order"), "{err}");
+        // A dropped middle line shifts every later rep out of place.
+        let mut lines: Vec<&str> = text.split_inclusive('\n').collect();
+        lines.remove(3);
+        let err = Checkpoint::parse(&lines.concat()).unwrap_err();
+        assert!(err.contains("out of order"), "{err}");
+    }
+
+    #[test]
+    fn first_save_is_atomic_and_later_saves_append_only_new_lines() {
+        let path = temp_path("append.ckpt");
+        let mut merge = MergeState::new(12);
+        for i in 0..3 {
+            merge.accept(i, outcome(i));
+        }
+        let mut log = CheckpointLog::new(path.clone(), 0);
+        log.save(&job(), &merge).unwrap();
         assert!(!path.with_extension("tmp").exists(), "tmp renamed away");
-        let back = Checkpoint::load(&path).unwrap();
-        assert_eq!(back.watermark, ck.watermark);
-        ck.save(&path).unwrap(); // overwrite in place works too
-        fs::remove_dir_all(&dir).ok();
+        let first = fs::read_to_string(&path).unwrap();
+        assert_eq!(first, log_text(&merge));
+        for i in 3..7 {
+            merge.accept(i, outcome(i));
+        }
+        log.save(&job(), &merge).unwrap();
+        let second = fs::read_to_string(&path).unwrap();
+        // Only the four new lines were added, after the old bytes.
+        assert_eq!(&second[..first.len()], first);
+        assert_eq!(second[first.len()..].lines().count(), 4);
+        assert_eq!(second, log_text(&merge));
+        assert_eq!(log.saved(), 7);
+        // Nothing new merged: the file is left alone.
+        log.save(&job(), &merge).unwrap();
+        assert_eq!(fs::read_to_string(&path).unwrap(), second);
+        assert_eq!(Checkpoint::load(&path).unwrap().watermark(), 7);
+        // A new run's log rewrites the file whole, dropping a torn tail.
+        fs::write(&path, format!("{second}{{\"rep\":\"7\",\"ok")).unwrap();
+        CheckpointLog::new(path.clone(), 7).save(&job(), &merge).unwrap();
+        assert_eq!(fs::read_to_string(&path).unwrap(), second);
+        fs::remove_file(&path).ok();
     }
 }

@@ -26,7 +26,7 @@
 //!
 //! [`SweepRunner::run_owed`]: flagsim_core::sweep::SweepRunner::run_owed
 
-use crate::checkpoint::Checkpoint;
+use crate::checkpoint::{Checkpoint, CheckpointLog};
 use crate::fleet::ObsHub;
 use crate::job::{JobSpec, MaterializedJob};
 use crate::lease::{LeaseConfig, LeaseGrant, LeaseTable, WorkerId};
@@ -138,10 +138,10 @@ struct Shared {
     control: Control,
 }
 
-/// What the coordinator tracks next to the merge: the last checkpoint's
-/// watermark, and why (if at all) the campaign is stopping.
+/// What the coordinator tracks next to the merge: its checkpoint log,
+/// and why (if at all) the campaign is stopping.
 struct Control {
-    last_ckpt: u64,
+    log: Option<CheckpointLog>,
     halted: bool,
     deadline_hit: bool,
     fatal: Option<String>,
@@ -160,11 +160,10 @@ impl Control {
         cfg: &CoordinatorConfig,
         start: Instant,
     ) -> bool {
-        if let (Some(path), true) = (&cfg.checkpoint_path, cfg.checkpoint_every > 0) {
-            if merge.merged().saturating_sub(self.last_ckpt) >= cfg.checkpoint_every {
-                match Checkpoint::from_merge(job, merge).save(path) {
-                    Ok(()) => self.last_ckpt = merge.merged(),
-                    Err(e) => self.fatal = Some(format!("checkpoint save failed: {e}")),
+        if let (Some(log), true) = (&mut self.log, cfg.checkpoint_every > 0) {
+            if merge.merged().saturating_sub(log.saved()) >= cfg.checkpoint_every {
+                if let Err(e) = log.save(job, merge) {
+                    self.fatal = Some(format!("checkpoint save failed: {e}"));
                 }
             }
         }
@@ -231,7 +230,9 @@ pub fn run_sweep(job: &JobSpec, cfg: &CoordinatorConfig) -> Result<ShardOutcome,
         table,
         merge,
         control: Control {
-            last_ckpt: cfg.resume.as_ref().map(|c| c.watermark).unwrap_or(0),
+            log: cfg.checkpoint_path.clone().map(|path| {
+                CheckpointLog::new(path, cfg.resume.as_ref().map_or(0, Checkpoint::watermark))
+            }),
             halted: false,
             deadline_hit: false,
             fatal: None,
@@ -248,7 +249,7 @@ pub fn run_sweep(job: &JobSpec, cfg: &CoordinatorConfig) -> Result<ShardOutcome,
     }
 
     // Everything has stopped; freeze the outcome.
-    let sh = shared.into_inner().expect("shard state lock poisoned");
+    let mut sh = shared.into_inner().expect("shard state lock poisoned");
     if let Some(fatal) = sh.control.fatal {
         return Err(fatal);
     }
@@ -259,19 +260,14 @@ pub fn run_sweep(job: &JobSpec, cfg: &CoordinatorConfig) -> Result<ShardOutcome,
         return Ok(ShardOutcome::Halted { merged: sh.merge.merged() });
     }
     if sh.control.deadline_hit && !sh.merge.is_complete() {
-        let checkpoint = match &cfg.checkpoint_path {
-            Some(path) => {
-                Checkpoint::from_merge(job, &sh.merge)
-                    .save(path)
-                    .map_err(|e| format!("checkpoint save on deadline: {e}"))?;
-                Some(path.clone())
-            }
-            None => None,
-        };
+        if let Some(log) = &mut sh.control.log {
+            log.save(job, &sh.merge)
+                .map_err(|e| format!("checkpoint save on deadline: {e}"))?;
+        }
         return Ok(ShardOutcome::DeadlineExpired {
             merged: sh.merge.merged(),
             total: sh.merge.total(),
-            checkpoint,
+            checkpoint: cfg.checkpoint_path.clone(),
         });
     }
     if !sh.merge.is_complete() {
@@ -281,10 +277,9 @@ pub fn run_sweep(job: &JobSpec, cfg: &CoordinatorConfig) -> Result<ShardOutcome,
             sh.merge.total()
         ));
     }
-    if let Some(path) = &cfg.checkpoint_path {
+    if let Some(log) = &mut sh.control.log {
         // Final checkpoint: resuming a finished campaign is a no-op.
-        Checkpoint::from_merge(job, &sh.merge)
-            .save(path)
+        log.save(job, &sh.merge)
             .map_err(|e| format!("final checkpoint save: {e}"))?;
     }
     sh.merge
@@ -508,8 +503,11 @@ fn absorb_telemetry(
     }
 }
 
-/// After `shutdown`, drain the worker's final telemetry frames until
-/// `bye` (or EOF/error). Best-effort: the session is ending either way.
+/// After `shutdown`, drain the worker's frames until `bye`, EOF or a
+/// read error, absorbing its telemetry. A late `rep` or `lease_done`
+/// can still be in flight ahead of the final telemetry frame, which
+/// carries the worker's rep spans, so other frames are skipped, not
+/// taken as the end. Best-effort: the session is ending either way.
 fn drain_goodbye(
     reader: &mut impl std::io::Read,
     worker_name: &str,
@@ -522,7 +520,8 @@ fn drain_goodbye(
             Ok(Some(Message::Telemetry(batch))) => {
                 absorb_telemetry(batch, worker_name, remap, obs, now);
             }
-            _ => return, // bye, EOF, or anything else: done
+            Ok(Some(Message::Bye) | None) | Err(_) => return,
+            Ok(Some(_)) => {}
         }
     }
 }
@@ -972,7 +971,7 @@ mod tests {
         .expect("halted sweep");
         assert!(matches!(halted, ShardOutcome::Halted { merged } if merged >= 5));
         let resume = Checkpoint::load(&ckpt).expect("load checkpoint");
-        assert!(resume.watermark >= 1 && resume.watermark < 14, "mid-campaign checkpoint");
+        assert!(resume.watermark() >= 1 && resume.watermark() < 14, "mid-campaign checkpoint");
         let jr = resume.job.clone();
         let outcome = run_sweep(
             &jr,
@@ -1013,7 +1012,7 @@ mod tests {
                 assert!(merged < 10);
                 let path = checkpoint.expect("checkpoint written");
                 let ck = Checkpoint::load(&path).expect("checkpoint loads");
-                assert_eq!(ck.watermark, merged);
+                assert_eq!(ck.watermark(), merged);
             }
             other => panic!("expected deadline expiry, got {other:?}"),
         }
@@ -1022,9 +1021,10 @@ mod tests {
 
     #[test]
     fn resume_rejects_a_different_campaign() {
-        let mut m = MergeState::new(5);
-        m.accept(0, RepOutcome::Ok { completion: 1.0, waiting: 0.5 });
-        let ck = Checkpoint::from_merge(&job(5), &m);
+        let ck = Checkpoint {
+            job: job(5),
+            outcomes: vec![RepOutcome::Ok { completion: 1.0, waiting: 0.5 }],
+        };
         let other = job(7); // different rep count → different fingerprint
         let err = run_sweep(
             &other,
@@ -1037,9 +1037,8 @@ mod tests {
     #[test]
     fn sweep_runner_serial_equals_streaming_serial() {
         // The anchor for every bit-for-bit claim above: the runner's
-        // retained serial stats vs its streaming stats path — our gates
-        // compare against the streaming path, which run() uses when
-        // reports are not retained.
+        // retained serial stats equal its streaming stats in every bit —
+        // one accumulator serves both.
         let j = job(12);
         let mat = j.materialize().expect("materialize");
         let streaming = mat.runner().run().expect("streaming run");
@@ -1050,10 +1049,26 @@ mod tests {
             .retain_reports(true)
             .run()
             .expect("retained run");
-        assert_eq!(streaming.completion.n, retained.completion.n);
-        assert_eq!(
-            streaming.completion.mean.to_bits(),
-            retained.completion.mean.to_bits()
-        );
+        assert_stats_bits_equal(&streaming.completion, &retained.completion);
+        assert_stats_bits_equal(&streaming.waiting, &retained.waiting);
+    }
+
+    #[test]
+    fn drain_goodbye_reads_past_late_frames_to_the_final_telemetry() {
+        // A lease finished just as the campaign did: its `lease_done`
+        // is still ahead of the telemetry frame that carries the
+        // worker's rep spans, and `bye` comes last.
+        let mut bytes = Vec::new();
+        let batch = TelemetryBatch { dropped: 3, ..TelemetryBatch::default() };
+        for msg in [Message::LeaseDone { start: 0, end: 4 }, Message::Telemetry(batch), Message::Bye] {
+            wire::send(&mut bytes, &msg).expect("encode frame");
+        }
+        let hub = ObsHub::new();
+        hub.with(|fv| fv.on_connected("w0", 0));
+        let mut reader = &bytes[..];
+        drain_goodbye(&mut reader, "w0", &mut BTreeMap::new(), Some(&hub), 1);
+        let dropped = hub.with(|fv| fv.workers().map(|w| w.dropped_records).sum::<u64>());
+        assert_eq!(dropped, 3, "the telemetry frame behind lease_done was absorbed");
+        assert!(reader.is_empty(), "drained through bye");
     }
 }

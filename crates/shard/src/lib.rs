@@ -29,12 +29,11 @@
 //!   ([`SweepRunner::run_owed`](flagsim_core::sweep::SweepRunner::run_owed),
 //!   the one `flagsim sweep --jobs` uses, folding into the same merge),
 //!   so a dead cluster costs wall-clock time, never a campaign.
-//! * **Checkpoint/resume** ([`checkpoint`]): the coordinator
-//!   periodically serializes its [`StreamingStats`] accumulators (exact
-//!   bit-level snapshots), the merged-rep watermark, recorded failures,
-//!   and any completed-but-unmerged repetitions to a checkpoint file;
-//!   `flagsim sweep --resume <ckpt>` continues a killed million-rep
-//!   sweep from where it stopped and finishes with statistics
+//! * **Checkpoint/resume** ([`checkpoint`]): the coordinator logs every
+//!   merged repetition's outcome (bit-exact, in rep order) to a
+//!   checkpoint file, appending what merged since the last save;
+//!   `flagsim sweep --resume <ckpt>` replays the log into a fresh merge,
+//!   re-runs everything past it, and finishes with statistics
 //!   bit-identical to an uninterrupted run (the `shard_bench` hard
 //!   gate).
 //!
@@ -47,7 +46,6 @@
 //!   strictly observational (they never reach the merge), so shipping
 //!   on, off, or lossy cannot move a single bit of the statistics.
 //!
-//! [`StreamingStats`]: flagsim_metrics::StreamingStats
 //! [`RecoveryPolicy`]: flagsim_core::faults::RecoveryPolicy
 
 #![forbid(unsafe_code)]
@@ -62,7 +60,7 @@ pub mod obs_serve;
 pub mod wire;
 pub mod worker;
 
-pub use checkpoint::Checkpoint;
+pub use checkpoint::{Checkpoint, CheckpointLog};
 pub use coordinator::{campaign_id, run_sweep, CoordinatorConfig, ShardOutcome};
 pub use fleet::{FleetView, ObsHub, WorkerObs};
 pub use job::{JobSpec, MaterializedJob};

@@ -187,9 +187,9 @@ fn crash_at_every_checkpoint_boundary_resumes_bit_identically() {
             }
             let ck = Checkpoint::load(&ckpt).expect("checkpoint loads");
             assert!(
-                ck.watermark >= kill_after,
+                ck.watermark() >= kill_after,
                 "{at}: watermark {} should cover the kill point",
-                ck.watermark
+                ck.watermark()
             );
             let (c, w) = completed(
                 run_sweep(
